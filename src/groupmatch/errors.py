@@ -12,7 +12,8 @@ class NotAGroup(GroupMatchError):
 
     ``reason`` is one of ``"wrong-identity"``, ``"not-latin-square"``,
     ``"not-associative"``; ``detail`` holds the first violating index
-    triple (its exact shape depends on the reason).
+    triple (its exact shape depends on the reason).  For
+    ``"not-associative"`` it is ``(x, g, y)`` with (x*g)*y != x*(g*y).
     """
 
     def __init__(self, reason: str, detail: tuple, message: str | None = None):
@@ -53,10 +54,6 @@ class IdentityInB(GroupMatchError):
 
 class NotApplicable(GroupMatchError):
     """The requested construction has no instance for this group."""
-
-
-class PreconditionUnmet(GroupMatchError):
-    """A check was invoked on inputs outside its hypothesis."""
 
 
 class CrossValidationError(GroupMatchError):

@@ -8,6 +8,7 @@ matchability graph; non-existence is certified by a Hall violator.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import EmptyInput, IdentityInB, SizeLimit, SizeMismatch
@@ -102,9 +103,9 @@ def _extract_violator(A: GroupSubset, B: GroupSubset, graph: MatchabilityGraph,
     # vertices form a Hall violator once the matching is maximum.
     reach_left = {u for u in range(len(graph.left)) if match_left[u] is None}
     reach_right: set[int] = set()
-    queue = sorted(reach_left)
+    queue = deque(sorted(reach_left))
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in graph.adjacency[u]:
             if v in reach_right:
                 continue

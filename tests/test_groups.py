@@ -33,6 +33,22 @@ NONASSOCIATIVE_LOOP = [
 ]
 
 
+def _c722_intercalate():
+    # C722 with the intercalate on rows and columns {1, 362} swapped: still
+    # a Latin square with identity 0, but not associative.
+    t = [[(i + j) % 722 for j in range(722)] for i in range(722)]
+    for r in (1, 362):
+        t[r][1], t[r][362] = t[r][362], t[r][1]
+    return t
+
+
+def _sympy_cayley_table(perm_group):
+    # Cayley table of a sympy permutation group, identity reindexed to 0.
+    elements = sorted(perm_group.elements, key=lambda p: (not p.is_Identity, p.array_form))
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[p * q] for q in elements] for p in elements]
+
+
 class TestTableValidation:
     def test_trivial_group(self):
         g = GroupTable([[0]])
@@ -58,13 +74,22 @@ class TestTableValidation:
             GroupTable([[1, 0], [0, 1]])
         assert info.value.reason == "wrong-identity"
 
-    def test_nonassociative_loop_rejected(self):
+    @pytest.mark.parametrize("make_table", [lambda: NONASSOCIATIVE_LOOP, _c722_intercalate],
+                             ids=["loop5", "c722-intercalate"])
+    def test_nonassociative_loop_rejected(self, make_table):
+        t = make_table()
         with pytest.raises(NotAGroup) as info:
-            GroupTable(NONASSOCIATIVE_LOOP)
+            GroupTable(t)
         assert info.value.reason == "not-associative"
         i, j, k = info.value.detail
-        t = NONASSOCIATIVE_LOOP
         assert t[t[i][j]][k] != t[i][t[j][k]]
+
+    def test_sympy_groups_accepted(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        for perm_group, order in ((combinatorics.SymmetricGroup(5), 120),
+                                  (combinatorics.AlternatingGroup(5), 60)):
+            g = GroupTable(_sympy_cayley_table(perm_group))
+            assert g.n == order
 
     def test_malformed_tables(self):
         with pytest.raises(ValueError):
