@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import EmptyInput, IdentityInB, SizeLimit, SizeMismatch
-from .subsets import GroupSubset, _same_group, candidate_set
+from .subsets import GroupSubset, _same_group
 
 BRUTE_FORCE_CAP = 7
 
@@ -63,37 +63,55 @@ class VerifyResult:
 
 def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
     """The matchability graph; row i is the candidate set of left[i]."""
-    _same_group(A, B)
+    g = _same_group(A, B)
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
-    right_index = {b: i for i, b in enumerate(B.elements)}
+    mul, members = g.mul, A.members
     adjacency = tuple(
-        tuple(right_index[x] for x in candidate_set(A, B, a).elements)
+        tuple([j for j, x in enumerate(B.elements) if mul(a, x) not in members])
         for a in A.elements
     )
     return MatchabilityGraph(left=A.elements, right=B.elements, adjacency=adjacency)
 
 
 def _maximum_matching(graph: MatchabilityGraph) -> tuple[list, list]:
-    """Kuhn's augmenting-path algorithm with a fixed ascending scan order."""
-    size = len(graph.left)
-    match_left: list[int | None] = [None] * size
+    """Kuhn's augmenting-path algorithm with a fixed ascending scan order.
+
+    The depth-first search keeps its own stack, so path length is not
+    bounded by the recursion limit.  A failed search leaves the matching
+    unchanged and every right vertex it visited reaches only matched
+    vertices it also visited, so the visited marks carry over to the next
+    root and are reset only after an augmentation; the matching found is
+    the same as with fresh marks per root.
+    """
+    adjacency = graph.adjacency
+    match_left: list[int | None] = [None] * len(graph.left)
     match_right: list[int | None] = [None] * len(graph.right)
-
-    def augment(u: int, visited: set) -> bool:
-        for v in graph.adjacency[u]:
-            if v in visited:
+    visited = [False] * len(graph.right)
+    for root in range(len(adjacency)):
+        # lefts[k] is reached through rights[k - 1]; scans[k] resumes its row.
+        lefts, rights, scans = [root], [], [iter(adjacency[root])]
+        while scans:
+            for v in scans[-1]:
+                if not visited[v]:
+                    break
+            else:
+                scans.pop()
+                lefts.pop()
+                if rights:
+                    rights.pop()
                 continue
-            visited.add(v)
+            visited[v] = True
+            rights.append(v)
             w = match_right[v]
-            if w is None or augment(w, visited):
-                match_right[v] = u
-                match_left[u] = v
-                return True
-        return False
-
-    for u in range(size):
-        augment(u, set())
+            if w is None:
+                for u, v in zip(lefts, rights):
+                    match_left[u] = v
+                    match_right[v] = u
+                visited = [False] * len(match_right)
+                break
+            lefts.append(w)
+            scans.append(iter(adjacency[w]))
     return match_left, match_right
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from groupmatch import (
     make_quaternion,
     verify_matching,
 )
+from groupmatch.matching import _maximum_matching
 
 SMALL_GROUPS = [make_cyclic(4), make_cyclic(5), make_cyclic(6), make_dihedral(3), make_quaternion()]
 
@@ -60,10 +62,13 @@ class TestBuildGraph:
         assert g.adjacency == expected
         assert [g.right[j] for j in g.adjacency[0]] == [4]
 
-    def test_rows_are_candidate_sets(self):
-        d3 = make_dihedral(3)
-        A = GroupSubset(d3, [1, 3, 4])
-        B = GroupSubset(d3, [2, 3, 5])
+    @pytest.mark.parametrize("group, a_els, b_els", [
+        (make_dihedral(3), [1, 3, 4], [2, 3, 5]),
+        (LatticeGroup(2), [(0, 0), (1, 0), (0, 1), (1, 1)], [(-1, 0), (0, -1), (1, 0), (2, 1)]),
+    ], ids=["d3", "z2"])
+    def test_rows_are_candidate_sets(self, group, a_els, b_els):
+        A = GroupSubset(group, a_els)
+        B = GroupSubset(group, b_els)
         g = build_graph(A, B)
         for i, a in enumerate(g.left):
             row = tuple(g.right[j] for j in g.adjacency[i])
@@ -139,6 +144,91 @@ class TestFindMatching:
         r = find_matching(A, B)
         assert isinstance(r, Matching)
         assert verify_matching(A, B, r)
+
+
+def _reference_kuhn(graph):
+    """Recursive Kuhn with a fresh visited set per root: the engine's spec."""
+    match_left = [None] * len(graph.left)
+    match_right = [None] * len(graph.right)
+
+    def augment(u, visited):
+        for v in graph.adjacency[u]:
+            if v not in visited:
+                visited.add(v)
+                w = match_right[v]
+                if w is None or augment(w, visited):
+                    match_left[u], match_right[v] = v, u
+                    return True
+        return False
+
+    for u in range(len(graph.left)):
+        augment(u, set())
+    return match_left, match_right
+
+
+def _index_two_subgroup(group):
+    """Rotations of a dihedral table, even residues of a cyclic one."""
+    half = group.n // 2
+    return list(range(half)) if group.name.startswith("D") else list(range(0, group.n, 2))
+
+
+def _seeded_pairs(group, sizes, rng):
+    """A random identity-free pair per size, plus A = H u R with H of index 2
+    whenever |H| < |A| <= 2|H| - 2: H*(B n H) lies in A and |B \\ H| < |H|,
+    so S = H is a Hall violator."""
+    H = _index_two_subgroup(group)
+    outside = sorted(set(range(group.n)) - set(H))
+    for k in sizes:
+        yield (GroupSubset(group, rng.sample(range(group.n), k)),
+               GroupSubset(group, rng.sample(range(1, group.n), k)))
+        r = k - len(H)
+        if 0 < r <= len(H) - 2:
+            m = rng.randint(r + 1, len(H) - 1)
+            yield (GroupSubset(group, H + rng.sample(outside, r)),
+                   GroupSubset(group, rng.sample(outside, m) + rng.sample(H[1:], k - m)))
+
+
+class TestEngineAtScale:
+    @pytest.mark.parametrize("group", [make_dihedral(32), make_cyclic(64)], ids=["d32", "c64"])
+    def test_same_matching_as_recursive_kuhn(self, group):
+        rng = random.Random(f"kuhn/{group.name}")
+        violators = 0
+        for A, B in _seeded_pairs(group, [1, 8, 24, 40, 48, 56, 60, 62, 63] * 4, rng):
+            graph = build_graph(A, B)
+            match_left, match_right = _maximum_matching(graph)
+            assert (match_left, match_right) == _reference_kuhn(graph)
+            violators += None in match_left
+        assert violators >= 8
+
+    def test_no_recursion_limit(self):
+        c1280 = make_cyclic(1280)
+        A = GroupSubset(c1280, random.Random(0).sample(range(1, 1280), 1216))
+        B = GroupSubset(c1280, random.Random(0).sample(range(1, 1280), 1216))
+        r = find_matching(A, B)
+        assert isinstance(r, HallViolator) or verify_matching(A, B, r)
+
+    @pytest.mark.parametrize("group", [make_dihedral(128), make_cyclic(256)], ids=["d128", "c256"])
+    def test_agrees_with_networkx(self, group):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(f"networkx/{group.name}")
+        outcomes = set()
+        for A, B in _seeded_pairs(group, [100, 200, 240], rng):
+            graph = build_graph(A, B)
+            top = [("a", i) for i in range(len(A))]
+            G = nx.Graph()
+            G.add_nodes_from(top)
+            G.add_nodes_from(("b", j) for j in range(len(B)))
+            G.add_edges_from((("a", i), ("b", j))
+                             for i, row in enumerate(graph.adjacency) for j in row)
+            M = nx.bipartite.hopcroft_karp_matching(G, top_nodes=top)
+            nu = len(M) // 2
+            r = find_matching(A, B)
+            assert isinstance(r, Matching) == (nu == len(A))
+            if isinstance(r, HallViolator):
+                assert r.deficiency == len(A) - nu
+                assert len(nx.bipartite.to_vertex_cover(G, M, top_nodes=top)) == nu
+            outcomes.add(type(r))
+        assert outcomes == {Matching, HallViolator}
 
 
 class TestVerifyMatching:
