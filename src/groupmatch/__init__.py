@@ -57,7 +57,6 @@ from .subsets import (
 from .theorems import (
     CheckReport,
     CounterexamplePair,
-    OlsonWitness,
     check_automatching,
     check_corollary,
     check_kemperman,

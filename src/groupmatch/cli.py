@@ -36,6 +36,8 @@ from .theorems import (
 )
 
 CHECK_ORDER = ("kemperman", "corollary", "olson", "automatching", "matching-property", "hall")
+# The checks with a group-order cap, which --cap-order overrides.
+CAPPED_CHECKS = ("corollary", "olson", "automatching", "matching-property")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for sweeps; 1 is the deterministic single-threaded path")
     p.add_argument("--cap-order", type=int, default=None,
-                   help="override the per-check group-order caps")
+                   help="override the group-order cap of %s; an error for any other check"
+                   % ", ".join(CAPPED_CHECKS))
     add_format(p)
 
     p = sub.add_parser("counterexample",
@@ -164,6 +167,10 @@ def _cmd_verify(args) -> int:
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         selected = tuple(c for c in CHECK_ORDER if c in tokens)
+    uncapped = [c for c in selected if c not in CAPPED_CHECKS]
+    if args.cap_order is not None and uncapped:
+        raise ValueError(f"--cap-order does not apply to {', '.join(uncapped)}: "
+                         f"only {', '.join(CAPPED_CHECKS)} have a group-order cap")
     reports = []
     for name in selected:
         try:

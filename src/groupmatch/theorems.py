@@ -24,7 +24,7 @@ from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable
 from .groups import GroupTable, LatticeGroup, classify, cyclic_subgroup, enumerate_subgroups
 from .matching import HallViolator, Matching, brute_force_matching, find_matching, verify_matching
 from .reports import elements_json as _els
-from .subsets import GroupSubset, _same_group, candidate_set, product_set, stable_set, unique_products
+from .subsets import GroupSubset, _same_group, product_set
 
 DEFAULT_EXHAUSTIVE_PAIR_CAP = 6
 DEFAULT_PROPERTY_EXHAUSTIVE_CAP = 7
@@ -82,18 +82,6 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
-class OlsonWitness:
-    """A subgroup H and an H-invariant subset T of AB meeting the bound.
-
-    ``side`` is "left" when HT = T and "right" when TH = T.
-    """
-
-    subgroup: GroupSubset
-    invariant_set: GroupSubset
-    side: str
-
-
-@dataclass(frozen=True)
 class CounterexamplePair:
     """A pair (A, B) with |A| = |B| and 1 not in B that admits no matching.
 
@@ -112,6 +100,33 @@ def _mask_subset(group, mask: int, universe) -> GroupSubset:
     return GroupSubset(group, (universe[i] for i in range(len(universe)) if mask >> i & 1))
 
 
+def _bits(mask: int) -> list:
+    """The set bits of mask, ascending: a mask's elements as indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _bit_rows(group: GroupTable) -> tuple:
+    """``rows[a][b] == 1 << (a*b)``: the group law with products as one-bit masks."""
+    return tuple(tuple(1 << x for x in row) for row in group.table)
+
+
+def _products(rows, a_els, b_els) -> tuple:
+    """(AB, repeated) as masks; repeated marks the products with two or more
+    factorizations.  Each translate aB has |B| distinct bits, so its sum is
+    its union."""
+    once = twice = 0
+    for a in a_els:
+        translate = sum(map(rows[a].__getitem__, b_els))
+        twice |= once & translate
+        once |= translate
+    return once, twice
+
+
 def _map_ordered(fn, items: list, jobs: int) -> list:
     """Apply fn to items, optionally on a process pool, preserving order."""
     if jobs > 1 and len(items) > 1:
@@ -128,11 +143,13 @@ def _map_ordered(fn, items: list, jobs: int) -> list:
 def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
     """Assert |AB| >= |A| + |B| - 1 when AB has a unique-product element."""
     t0 = perf_counter()
-    _same_group(A, B)
+    g = _same_group(A, B)
+    if not isinstance(g, GroupTable):
+        raise ValueError("the unique-product bound is checked on finite groups only")
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
     report = CheckReport("kemperman")
-    outcome = _kemperman_instance_subsets(A, B)
+    outcome = _kemperman_outcome(_bit_rows(g), A.elements, B.elements)
     if outcome is None:
         report.flagged.append({"kind": "hypothesis-unmet",
                                "why": "no unique-product element in AB"})
@@ -143,26 +160,26 @@ def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
     return report.finish(t0)
 
 
-def _kemperman_instance_subsets(A: GroupSubset, B: GroupSubset):
-    witnesses = unique_products(A, B)
-    if not witnesses:
+def _kemperman_outcome(rows, a_els, b_els):
+    """None when AB has no unique product, True when the bound holds, else
+    the failure record."""
+    ab, repeated = _products(rows, a_els, b_els)
+    unique = ab & ~repeated
+    if not unique:
         return None
-    ab = product_set(A, B)
-    if len(ab) >= len(A) + len(B) - 1:
+    size = ab.bit_count()
+    if size >= len(a_els) + len(b_els) - 1:
         return True
     return {
         "kind": "product-bound-violated",
-        "A": _els(A), "B": _els(B),
-        "A_size": len(A), "B_size": len(B), "AB_size": len(ab),
-        "unique_product": witnesses[0].value,
+        "A": _els(a_els), "B": _els(b_els),
+        "A_size": len(a_els), "B_size": len(b_els), "AB_size": size,
+        "unique_product": (unique & -unique).bit_length() - 1,
     }
 
 
-def _kemperman_instance(group, masks):
-    ma, mb = masks
-    universe = range(group.n)
-    return _kemperman_instance_subsets(_mask_subset(group, ma, universe),
-                                       _mask_subset(group, mb, universe))
+def _kemperman_instance(rows, masks):
+    return _kemperman_outcome(rows, _bits(masks[0]), _bits(masks[1]))
 
 
 def sweep_kemperman(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
@@ -185,7 +202,7 @@ def sweep_kemperman(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTI
                      for _ in range(samples)]
         used_seed = seed
     report = CheckReport("kemperman", seed=used_seed)
-    for outcome in _map_ordered(partial(_kemperman_instance, group), instances, jobs):
+    for outcome in _map_ordered(partial(_kemperman_instance, _bit_rows(group)), instances, jobs):
         report.instances_tested += 1
         if outcome is None:
             report.instances_skipped += 1
@@ -292,47 +309,31 @@ def sweep_corollary(group: GroupTable, *, order_cap: int = DEFAULT_EXHAUSTIVE_PA
 # Subgroup-invariant subset bound
 
 
-def _invariant_within(group, H: GroupSubset, ab: GroupSubset, side: str) -> set:
-    """Maximal subset of AB that is a union of H-orbits on the given side."""
-    members = ab.members
-    chosen: set = set()
-    seen: set = set()
-    for t in ab.elements:
-        if t in seen:
-            continue
-        if side == "left":
-            orbit = {group.mul(h, t) for h in H}
-        else:
-            orbit = {group.mul(t, h) for h in H}
-        seen |= orbit
-        if orbit <= members:
-            chosen |= orbit
-    return chosen
-
-
-def _olson_search(A: GroupSubset, B: GroupSubset, subgroups) -> OlsonWitness | None:
-    """Find (H, T, side) with T a nonempty H-invariant subset of AB and
-    |T| >= |A| + |B| - |H|; complete because every admissible T is a union
-    of orbits, so the maximal union is tested for each H and side."""
-    g = A.group
-    ab = product_set(A, B)
-    need = len(A) + len(B)
+def _olson_orbits(group: GroupTable, subgroups) -> list:
+    """(H, side, orbit masks) for each subgroup H, left (orbits Ht) before
+    right (orbits tH): the order in which witnesses are searched."""
+    table, elements = group.table, group.elements()
+    out = []
     for H in subgroups:
-        for side in ("left", "right"):
-            chosen = _invariant_within(g, H, ab, side)
-            if chosen and len(chosen) >= need - len(H):
-                return OlsonWitness(subgroup=H, invariant_set=GroupSubset(g, chosen), side=side)
+        h_els = H.elements
+        out.append((h_els, "left", {sum(1 << table[h][t] for h in h_els) for t in elements}))
+        out.append((h_els, "right", {sum(1 << table[t][h] for h in h_els) for t in elements}))
+    return out
+
+
+def _olson_witness(rows, orbits, a_els, b_els):
+    """The first (H, side, T) with T a nonempty H-invariant subset of AB and
+    |T| >= |A| + |B| - |H|, or None; complete because every admissible T is
+    a union of orbits, so the union of all orbits inside AB is tested for
+    each H and side.  The orbits of one side are disjoint: their sum is their
+    union."""
+    ab = _products(rows, a_els, b_els)[0]
+    need = len(a_els) + len(b_els)
+    for h_els, side, orbit_masks in orbits:
+        chosen = sum(orbit for orbit in orbit_masks if orbit & ab == orbit)
+        if chosen and chosen.bit_count() >= need - len(h_els):
+            return h_els, side, chosen
     return None
-
-
-def _witness_record(A, B, witness: OlsonWitness) -> dict:
-    return {
-        "kind": "olson-witness",
-        "H": _els(witness.subgroup), "T": _els(witness.invariant_set),
-        "side": witness.side,
-        "T_size": len(witness.invariant_set),
-        "bound": len(A) + len(B) - len(witness.subgroup),
-    }
 
 
 def check_olson(A: GroupSubset, B: GroupSubset, *, subgroup_cap: int = 24) -> CheckReport:
@@ -344,26 +345,29 @@ def check_olson(A: GroupSubset, B: GroupSubset, *, subgroup_cap: int = 24) -> Ch
         raise ValueError("the invariant-subset bound is checked on finite groups only")
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
-    subgroups = enumerate_subgroups(g, subgroup_cap)
+    orbits = _olson_orbits(g, enumerate_subgroups(g, subgroup_cap))
+    rows = _bit_rows(g)
     report = CheckReport("olson")
     report.instances_tested = 1
-    witness = _olson_search(A, B, subgroups)
+    witness = _olson_witness(rows, orbits, A.elements, B.elements)
     if witness is None:
         report.failures.append({"kind": "no-witness", "A": _els(A), "B": _els(B)})
     else:
-        report.flagged.append(_witness_record(A, B, witness))
+        h_els, side, chosen = witness
+        report.flagged.append({
+            "kind": "olson-witness",
+            "H": _els(h_els), "T": _bits(chosen),
+            "side": side,
+            "T_size": chosen.bit_count(),
+            "bound": len(A) + len(B) - len(h_els),
+        })
     return report.finish(t0)
 
 
-def _olson_instance(group, subgroup_elements, masks):
-    ma, mb = masks
-    universe = range(group.n)
-    A = _mask_subset(group, ma, universe)
-    B = _mask_subset(group, mb, universe)
-    subgroups = [GroupSubset(group, els) for els in subgroup_elements]
-    witness = _olson_search(A, B, subgroups)
-    if witness is None:
-        return {"kind": "no-witness", "A": _els(A), "B": _els(B)}
+def _olson_instance(rows, orbits, masks):
+    a_els, b_els = _bits(masks[0]), _bits(masks[1])
+    if _olson_witness(rows, orbits, a_els, b_els) is None:
+        return {"kind": "no-witness", "A": a_els, "B": b_els}
     return None
 
 
@@ -374,7 +378,8 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
     seeded samples above it)."""
     t0 = perf_counter()
     n = group.n
-    subgroup_elements = tuple(s.elements for s in enumerate_subgroups(group, subgroup_cap))
+    orbits = _olson_orbits(group, enumerate_subgroups(group, subgroup_cap))
+    rows = _bit_rows(group)
     if n <= exhaustive_cap:
         instances = [(ma, mb) for ma in range(1, 1 << n) for mb in range(1, 1 << n)]
         used_seed = None
@@ -384,8 +389,7 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
                      for _ in range(samples)]
         used_seed = seed
     report = CheckReport("olson", seed=used_seed)
-    fn = partial(_olson_instance, group, subgroup_elements)
-    for outcome in _map_ordered(fn, instances, jobs):
+    for outcome in _map_ordered(partial(_olson_instance, rows, orbits), instances, jobs):
         report.instances_tested += 1
         if outcome is not None:
             report.failures.append(outcome)
@@ -633,17 +637,20 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset, *, max_size: int = 5) ->
     engine_ok = isinstance(find_matching(A, B), Matching)
     brute_ok = brute_force_matching(A, B) is not None
 
+    # Row masks over B, one per s in A, each built from the group law on its own.
+    mul, a_set, b_els = g.mul, A.members, B.elements
+    cand = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) not in a_set) for s in A]
+    stay = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) in a_set) for s in A]
     hall_ok = True
-    rows = {a: candidate_set(A, B, a) for a in A.elements}
     for mask in range(1, 1 << len(A)):
-        s_els = [A.elements[i] for i in range(len(A)) if mask >> i & 1]
-        union: set = set()
-        for s in s_els:
-            union |= rows[s].members
-        union_ok = len(union) >= len(s_els)
-        inter = stable_set(A, B, GroupSubset(g, s_els))
-        inter_ok = len(inter) <= len(A) - len(s_els)
+        picked = _bits(mask)
+        union, inter = 0, (1 << len(B)) - 1
+        for i in picked:
+            union, inter = union | cand[i], inter & stay[i]
+        union_ok = union.bit_count() >= len(picked)
+        inter_ok = inter.bit_count() <= len(A) - len(picked)
         if union_ok != inter_ok:
+            s_els = [A.elements[i] for i in picked]
             raise CrossValidationError(
                 f"Hall forms disagree on S = {s_els}: union {union_ok}, complement {inter_ok}")
         hall_ok = hall_ok and union_ok

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from groupmatch import make_quaternion, save_group_file
+from groupmatch import cli, make_quaternion, save_group_file
 from groupmatch.cli import main
 
 
@@ -82,6 +82,21 @@ class TestVerifyCommand:
 
     def test_cap_override_allows_larger_sweep(self, capsys):
         code, _ = run(capsys, "verify", "C7", "--checks", "corollary", "--cap-order", "7")
+        assert code == 0
+
+    def test_cap_order_rejected_for_uncapped_check(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "sweep_olson", lambda *args, **kwargs: ran.append("olson"))
+        code, out = run(capsys, "verify", "C6", "--checks", "olson,kemperman", "--cap-order", "6")
+        assert code == 2
+        assert "does not apply to kemperman:" in out
+        assert ran == []
+
+    def test_cap_order_still_sets_olson_subgroup_cap(self, capsys):
+        code, out = run(capsys, "verify", "C6", "--checks", "olson", "--cap-order", "5")
+        assert code == 2
+        assert "check olson" in out and "cap 5" in out
+        code, _ = run(capsys, "verify", "C6", "--checks", "olson", "--cap-order", "6")
         assert code == 0
 
     def test_unknown_check_rejected(self, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from groupmatch import (
     CrossValidationError,
     EmptyInput,
     GroupSubset,
+    GroupTable,
     HallViolator,
     IdentityInB,
+    LatticeGroup,
     NotApplicable,
     SizeLimit,
     brute_force_matching,
@@ -21,6 +24,7 @@ from groupmatch import (
     classify,
     construct_counterexample,
     cross_validate_hall,
+    enumerate_subgroups,
     find_matching,
     make_cyclic,
     make_dihedral,
@@ -31,7 +35,9 @@ from groupmatch import (
     sweep_hall,
     sweep_kemperman,
     sweep_olson,
+    unique_products,
 )
+from groupmatch.theorems import _bit_rows, _bits, _products
 
 
 def subset(group, els):
@@ -70,6 +76,11 @@ class TestKemperman:
         with pytest.raises(EmptyInput):
             check_kemperman(subset(c2, []), subset(c2, [1]))
 
+    def test_lattice_pair_rejected(self):
+        z2 = LatticeGroup(2)
+        with pytest.raises(ValueError, match="finite groups only"):
+            check_kemperman(subset(z2, [(0, 0)]), subset(z2, [(1, 0)]))
+
     def test_sweep_c5_counts(self):
         r = sweep_kemperman(make_cyclic(5))
         assert r.status == "pass"
@@ -96,6 +107,36 @@ class TestKemperman:
     def test_forced_exhaustive_beyond_cap(self):
         with pytest.raises(SizeLimit):
             sweep_kemperman(make_quaternion(), mode="exhaustive")
+
+
+def all_pairs(group):
+    subsets = [subset(group, _bits(m)) for m in range(1, 1 << group.n)]
+    return itertools.product(subsets, subsets)
+
+
+def seeded_pairs(group, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield (subset(group, _bits(rng.randrange(1, 1 << group.n))),
+               subset(group, _bits(rng.randrange(1, 1 << group.n))))
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("spec,pairs", [("D3", None), ("Q8", 500), ("C2xC4", 500)])
+    def test_masks_equal_subset_algebra(self, spec, pairs):
+        g = parse_group_spec(spec)
+        rows = _bit_rows(g)
+        for A, B in all_pairs(g) if pairs is None else seeded_pairs(g, pairs, seed=1):
+            ab, repeated = _products(rows, A.elements, B.elements)
+            assert _bits(ab) == list(product_set(A, B).elements)
+            assert _bits(ab & ~repeated) == [w.value for w in unique_products(A, B)]
+
+    @pytest.mark.parametrize("spec", ["C8", "C2xC4", "C2xC2xC2", "D4", "Q8"])
+    def test_order_8_exhaustive(self, spec):
+        g = parse_group_spec(spec)
+        for sweep in (sweep_kemperman, sweep_olson):
+            r = sweep(g, exhaustive_cap=8)
+            assert r.status == "pass" and r.instances_tested == 255 ** 2 and r.seed is None
 
 
 class TestCorollary:
@@ -140,6 +181,26 @@ class TestCorollary:
             sweep_corollary(make_cyclic(7))
 
 
+def reference_olson_flagged(A, B, subgroups):
+    """The witness search on GroupSubsets: for each subgroup H and side, the
+    union of the H-orbits of elements of AB that lie inside AB."""
+    g, ab = A.group, product_set(A, B)
+    for H in subgroups:
+        for side in ("left", "right"):
+            chosen, seen = set(), set()
+            for t in ab:
+                if t not in seen:
+                    orbit = {g.mul(h, t) if side == "left" else g.mul(t, h) for h in H}
+                    seen |= orbit
+                    if orbit <= ab.members:
+                        chosen |= orbit
+            bound = len(A) + len(B) - len(H)
+            if chosen and len(chosen) >= bound:
+                return [{"kind": "olson-witness", "H": list(H.elements), "T": sorted(chosen),
+                         "side": side, "T_size": len(chosen), "bound": bound}]
+    return []
+
+
 class TestOlson:
     def test_subgroup_witness_in_c4(self):
         c4 = make_cyclic(4)
@@ -180,6 +241,13 @@ class TestOlson:
                     assert {g.mul(h, t) for h in H for t in T} == T
                 else:
                     assert {g.mul(t, h) for h in H for t in T} == T
+
+    @pytest.mark.parametrize("spec,pairs", [("D3", None), ("Q8", 300)])
+    def test_witness_equals_subset_reference(self, spec, pairs):
+        g = parse_group_spec(spec)
+        subgroups = enumerate_subgroups(g)
+        for A, B in all_pairs(g) if pairs is None else seeded_pairs(g, pairs, seed=4):
+            assert check_olson(A, B).flagged == reference_olson_flagged(A, B, subgroups)
 
     def test_sweep_exhaustive_c6(self):
         r = sweep_olson(make_cyclic(6))
@@ -336,6 +404,23 @@ class TestHallCrossValidation:
         c4 = make_cyclic(4)
         with pytest.raises(IdentityInB):
             cross_validate_hall(subset(c4, [1, 2]), subset(c4, [0, 1]))
+
+    def test_disagreeing_forms_name_s_by_element(self):
+        class AlternatingLaw(GroupTable):
+            """s*x alternates between 3 (in A) and 4 (outside A) from call to call."""
+
+            def __init__(self, table):
+                super().__init__(table)
+                self.calls = itertools.count()
+
+            def mul(self, a, b):
+                return 3 + next(self.calls) % 2
+
+        g = AlternatingLaw(make_cyclic(5).table)
+        # Each form evaluates 3*3 once, one call after the other, so they see
+        # opposite answers and disagree whichever comes first.
+        with pytest.raises(CrossValidationError, match=r"Hall forms disagree on S = \[3\]"):
+            cross_validate_hall(subset(g, [3]), subset(g, [3]))
 
     def test_sweep(self):
         r = sweep_hall(make_dihedral(4), samples=60, seed=3)
