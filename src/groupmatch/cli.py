@@ -35,9 +35,17 @@ from .theorems import (
     sweep_olson,
 )
 
-CHECK_ORDER = ("kemperman", "corollary", "olson", "automatching", "matching-property", "hall")
-# The checks with a group-order cap, which --cap-order overrides.
-CAPPED_CHECKS = ("corollary", "olson", "automatching", "matching-property")
+# Every verify check in report order: the name of its theorems function, the
+# keyword --cap-order sets (None: no group-order cap) and whether it takes --seed.
+CHECKS = {
+    "kemperman": ("sweep_kemperman", None, True),
+    "corollary": ("sweep_corollary", "order_cap", False),
+    "olson": ("sweep_olson", "subgroup_cap", True),
+    "automatching": ("check_automatching", "order_cap", False),
+    "matching-property": ("check_matching_property", "order_cap", True),
+    "hall": ("sweep_hall", None, True),
+}
+CAPPED_CHECKS = tuple(name for name, (_, cap_keyword, _) in CHECKS.items() if cap_keyword)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run theorem checks against a group")
     p.add_argument("group")
     p.add_argument("--checks", default="all",
-                   help="comma-separated subset of %s or 'all'" % ",".join(CHECK_ORDER))
+                   help="comma-separated subset of %s or 'all'" % ",".join(CHECKS))
     p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for sweeps; 1 is the deterministic single-threaded path")
@@ -136,37 +144,30 @@ def _cmd_match(args) -> int:
 
 
 def _run_check(name: str, group: GroupTable, seed: int, jobs: int, cap: int | None):
-    if name == "kemperman":
-        return sweep_kemperman(group, seed=seed, jobs=jobs)
-    if name == "corollary":
-        kw = {"order_cap": cap} if cap is not None else {}
-        return sweep_corollary(group, jobs=jobs, **kw)
-    if name == "olson":
-        kw = {"subgroup_cap": cap} if cap is not None else {}
-        return sweep_olson(group, seed=seed, jobs=jobs, **kw)
-    if name == "automatching":
-        kw = {"order_cap": cap} if cap is not None else {}
-        return check_automatching(group, jobs=jobs, **kw)
-    if name == "matching-property":
-        kw = {"order_cap": cap} if cap is not None else {}
-        return check_matching_property(group, seed=seed, jobs=jobs, **kw)
-    if name == "hall":
-        return sweep_hall(group, seed=seed, jobs=jobs)
-    raise ValueError(f"unknown check {name!r}")
+    function, cap_keyword, seeded = CHECKS[name]
+    kwargs = {"jobs": jobs}
+    if seeded:
+        kwargs["seed"] = seed
+    if cap is not None:
+        kwargs[cap_keyword] = cap
+    # Resolved at call time, so a wrapper swapped into this module is the one called.
+    return globals()[function](group, **kwargs)
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     group = _resolve_group(args.group)
     if not isinstance(group, GroupTable):
         raise ValueError("verify runs on finite groups; use the lattice command for Z^d")
     if args.checks.strip() == "all":
-        selected = CHECK_ORDER
+        selected = tuple(CHECKS)
     else:
         tokens = [t.strip() for t in args.checks.split(",") if t.strip()]
-        unknown = [t for t in tokens if t not in CHECK_ORDER]
+        unknown = [t for t in tokens if t not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
-        selected = tuple(c for c in CHECK_ORDER if c in tokens)
+        selected = tuple(c for c in CHECKS if c in tokens)
     uncapped = [c for c in selected if c not in CAPPED_CHECKS]
     if args.cap_order is not None and uncapped:
         raise ValueError(f"--cap-order does not apply to {', '.join(uncapped)}: "

@@ -21,14 +21,18 @@ from functools import partial
 from time import perf_counter
 
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
-from .groups import GroupTable, LatticeGroup, classify, cyclic_subgroup, enumerate_subgroups
+from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
+                     enumerate_subgroups)
 from .matching import HallViolator, Matching, brute_force_matching, find_matching, verify_matching
 from .reports import elements_json as _els
 from .subsets import GroupSubset, _same_group, product_set
 
 DEFAULT_EXHAUSTIVE_PAIR_CAP = 6
-DEFAULT_PROPERTY_EXHAUSTIVE_CAP = 7
 DEFAULT_AUTOMATCHING_CAP = 14
+DEFAULT_PROPERTY_ORDER_CAP = 24
+PROPERTY_EXHAUSTIVE_CAP = 7     # matching-property is exhaustive up to this order
+IDENTITY_CONFIRMATION_CAP = 5   # automatching confirms every A ∋ 1 up to this size
+HALL_MAX_SIZE = 5               # |A| = |B| bound of the Hall cross-validation
 DEFAULT_SAMPLES = 2000
 DEFAULT_HALL_SAMPLES = 500
 DEFAULT_LATTICE_SIZE_CAP = 10
@@ -96,10 +100,6 @@ class CounterexamplePair:
     violator: HallViolator
 
 
-def _mask_subset(group, mask: int, universe) -> GroupSubset:
-    return GroupSubset(group, (universe[i] for i in range(len(universe)) if mask >> i & 1))
-
-
 def _bits(mask: int) -> list:
     """The set bits of mask, ascending: a mask's elements as indices."""
     out = []
@@ -110,9 +110,11 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _bit_rows(group: GroupTable) -> tuple:
-    """``rows[a][b] == 1 << (a*b)``: the group law with products as one-bit masks."""
-    return tuple(tuple(1 << x for x in row) for row in group.table)
+def _bit_rows(group: GroupTable, left=None) -> dict:
+    """``rows[a][b] == 1 << (a*b)``: the group law with products as one-bit
+    masks, for every a or only for the a in ``left``."""
+    left = group.elements() if left is None else left
+    return {a: tuple(1 << x for x in group.table[a]) for a in left}
 
 
 def _products(rows, a_els, b_els) -> tuple:
@@ -125,6 +127,26 @@ def _products(rows, a_els, b_els) -> tuple:
         twice |= once & translate
         once |= translate
     return once, twice
+
+
+def _mask_pairs(n: int, exhaustive_cap: int, samples: int, seed: int) -> tuple:
+    """(instances, seed to report): every pair of nonempty masks when n is
+    within the cap (seed None), else a seeded sample of pairs."""
+    if n <= exhaustive_cap:
+        return list(itertools.product(range(1, 1 << n), repeat=2)), None
+    rng = random.Random(seed)
+    return [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)) for _ in range(samples)], seed
+
+
+def _sized_pairs(n: int, max_k: int, samples: int, seed: int) -> list:
+    """Seeded (a_els, b_els) pairs, |A| = |B| <= max_k, the identity out of B."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(samples):
+        k = rng.randint(1, max_k)
+        pairs.append((tuple(sorted(rng.sample(range(n), k))),
+                      tuple(sorted(rng.sample(range(1, n), k)))))
+    return pairs
 
 
 def _map_ordered(fn, items: list, jobs: int) -> list:
@@ -149,7 +171,7 @@ def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
     report = CheckReport("kemperman")
-    outcome = _kemperman_outcome(_bit_rows(g), A.elements, B.elements)
+    outcome = _kemperman_outcome(_bit_rows(g, A.elements), A.elements, B.elements)
     if outcome is None:
         report.flagged.append({"kind": "hypothesis-unmet",
                                "why": "no unique-product element in AB"})
@@ -184,23 +206,11 @@ def _kemperman_instance(rows, masks):
 
 def sweep_kemperman(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
                     samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                    mode: str = "auto", jobs: int = 1) -> CheckReport:
+                    jobs: int = 1) -> CheckReport:
     """Run the product-set bound over all nonempty pairs (A, B), or a
     seeded sample of pairs when the group is over the exhaustive cap."""
     t0 = perf_counter()
-    n = group.n
-    if mode == "auto":
-        mode = "exhaustive" if n <= exhaustive_cap else "sample"
-    if mode == "exhaustive":
-        if n > exhaustive_cap:
-            raise SizeLimit("exhaustive product-bound sweep", n, exhaustive_cap)
-        instances = [(ma, mb) for ma in range(1, 1 << n) for mb in range(1, 1 << n)]
-        used_seed = None
-    else:
-        rng = random.Random(seed)
-        instances = [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n))
-                     for _ in range(samples)]
-        used_seed = seed
+    instances, used_seed = _mask_pairs(group.n, exhaustive_cap, samples, seed)
     report = CheckReport("kemperman", seed=used_seed)
     for outcome in _map_ordered(partial(_kemperman_instance, _bit_rows(group)), instances, jobs):
         report.instances_tested += 1
@@ -215,14 +225,13 @@ def sweep_kemperman(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTI
 # Identity-free containment bound (both the stated and the corrected form)
 
 
-def _corollary_instance(U: GroupSubset, V: GroupSubset, X: GroupSubset, choice: str) -> dict:
-    record = {
-        "U": _els(U), "V": _els(V), "X": _els(X), "X_choice": choice,
-        "U_size": len(U), "V_size": len(V), "X_size": len(X),
+def _corollary_instance(u: list, v: list, x: list, choice: str) -> dict:
+    return {
+        "U": u, "V": v, "X": x, "X_choice": choice,
+        "U_size": len(u), "V_size": len(v), "X_size": len(x),
+        "corrected_holds": len(x) >= len(u) + len(v),
+        "stated_holds": len(x) >= len(u) + len(v) + 1,
     }
-    record["corrected_holds"] = len(X) >= len(U) + len(V)
-    record["stated_holds"] = len(X) >= len(U) + len(V) + 1
-    return record
 
 
 def check_corollary(U: GroupSubset, V: GroupSubset, X: GroupSubset) -> CheckReport:
@@ -247,7 +256,7 @@ def check_corollary(U: GroupSubset, V: GroupSubset, X: GroupSubset) -> CheckRepo
         report.instances_skipped = 1
         report.flagged.append({"kind": "precondition-unmet", "why": why})
         return report.finish(t0)
-    record = _corollary_instance(U, V, X, "given")
+    record = _corollary_instance(_els(U), _els(V), _els(X), "given")
     report.instances_tested = 1
     if not record["corrected_holds"]:
         report.failures.append({"kind": "corrected-bound-violated", **record})
@@ -256,18 +265,17 @@ def check_corollary(U: GroupSubset, V: GroupSubset, X: GroupSubset) -> CheckRepo
     return report.finish(t0)
 
 
-def _corollary_pair(group, masks):
-    mu, mv = masks
-    universe = range(1, group.n)
-    U = _mask_subset(group, mu, universe)
-    V = _mask_subset(group, mv, universe)
-    UV = product_set(U, V)
-    if group.identity in UV:
+def _corollary_pair(rows, masks):
+    """The two records of one (U, V), or None when UV holds the identity.
+    The masks cover the non-identity elements, so they skip bit 0."""
+    mu, mv = masks[0] << 1, masks[1] << 1
+    u, v = _bits(mu), _bits(mv)
+    uv = _products(rows, u, v)[0]
+    if uv & 1:
         return None
-    X_min = U.union(V).union(UV)
-    X_full = GroupSubset(group, universe)
-    return (_corollary_instance(U, V, X_min, "minimal"),
-            _corollary_instance(U, V, X_full, "full"))
+    x_full = (1 << len(rows)) - 2
+    return (_corollary_instance(u, v, _bits(mu | mv | uv), "minimal"),
+            _corollary_instance(u, v, _bits(x_full), "full"))
 
 
 def sweep_corollary(group: GroupTable, *, order_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
@@ -284,11 +292,10 @@ def sweep_corollary(group: GroupTable, *, order_cap: int = DEFAULT_EXHAUSTIVE_PA
     n = group.n
     if n > order_cap:
         raise SizeLimit("containment-bound sweep", n, order_cap)
-    size = n - 1
-    instances = [(mu, mv) for mu in range(1, 1 << size) for mv in range(1, 1 << size)]
+    instances = list(itertools.product(range(1, 1 << (n - 1)), repeat=2))
     report = CheckReport("corollary")
     stated = []
-    for outcome in _map_ordered(partial(_corollary_pair, group), instances, jobs):
+    for outcome in _map_ordered(partial(_corollary_pair, _bit_rows(group)), instances, jobs):
         if outcome is None:
             report.instances_tested += 1
             report.instances_skipped += 1
@@ -336,7 +343,8 @@ def _olson_witness(rows, orbits, a_els, b_els):
     return None
 
 
-def check_olson(A: GroupSubset, B: GroupSubset, *, subgroup_cap: int = 24) -> CheckReport:
+def check_olson(A: GroupSubset, B: GroupSubset, *,
+                subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> CheckReport:
     """Search all subgroups for an invariant-subset witness of the bound
     |AB| >= |T| >= |A| + |B| - |H|."""
     t0 = perf_counter()
@@ -346,10 +354,9 @@ def check_olson(A: GroupSubset, B: GroupSubset, *, subgroup_cap: int = 24) -> Ch
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
     orbits = _olson_orbits(g, enumerate_subgroups(g, subgroup_cap))
-    rows = _bit_rows(g)
     report = CheckReport("olson")
     report.instances_tested = 1
-    witness = _olson_witness(rows, orbits, A.elements, B.elements)
+    witness = _olson_witness(_bit_rows(g, A.elements), orbits, A.elements, B.elements)
     if witness is None:
         report.failures.append({"kind": "no-witness", "A": _els(A), "B": _els(B)})
     else:
@@ -373,23 +380,15 @@ def _olson_instance(rows, orbits, masks):
 
 def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
                 samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                subgroup_cap: int = 24, jobs: int = 1) -> CheckReport:
+                subgroup_cap: int = DEFAULT_SUBGROUP_CAP, jobs: int = 1) -> CheckReport:
     """Witness search over all nonempty pairs (exhaustive up to the cap,
     seeded samples above it)."""
     t0 = perf_counter()
-    n = group.n
     orbits = _olson_orbits(group, enumerate_subgroups(group, subgroup_cap))
-    rows = _bit_rows(group)
-    if n <= exhaustive_cap:
-        instances = [(ma, mb) for ma in range(1, 1 << n) for mb in range(1, 1 << n)]
-        used_seed = None
-    else:
-        rng = random.Random(seed)
-        instances = [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n))
-                     for _ in range(samples)]
-        used_seed = seed
+    instances, used_seed = _mask_pairs(group.n, exhaustive_cap, samples, seed)
     report = CheckReport("olson", seed=used_seed)
-    for outcome in _map_ordered(partial(_olson_instance, rows, orbits), instances, jobs):
+    for outcome in _map_ordered(partial(_olson_instance, _bit_rows(group), orbits),
+                                instances, jobs):
         report.instances_tested += 1
         if outcome is not None:
             report.failures.append(outcome)
@@ -401,7 +400,7 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 
 
 def _automatching_instance(group, mask):
-    A = _mask_subset(group, mask, range(1, group.n))
+    A = GroupSubset(group, _bits(mask << 1))
     result = find_matching(A, A)
     if isinstance(result, HallViolator):
         return {"kind": "automatching-violator", "A": _els(A),
@@ -414,13 +413,14 @@ def _automatching_instance(group, mask):
 
 
 def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHING_CAP,
-                       brute_cap: int = 5, jobs: int = 1) -> CheckReport:
+                       jobs: int = 1) -> CheckReport:
     """Exhaust every nonempty identity-free A and require a matching A -> A.
 
     The converse direction is confirmed alongside: for every A containing
-    the identity (up to ``brute_cap`` elements), the engine reports the
-    structured identity error and the brute-force oracle finds no valid
-    bijection.  Those confirmations are flagged, not counted as instances.
+    the identity (up to ``IDENTITY_CONFIRMATION_CAP`` elements), the engine
+    reports the structured identity error and the brute-force oracle finds
+    no valid bijection.  Those confirmations are flagged, not counted as
+    instances.
     """
     t0 = perf_counter()
     n = group.n
@@ -434,7 +434,7 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
             report.failures.append(outcome)
 
     confirmations = 0
-    for k in range(0, min(brute_cap - 1, n - 1) + 1):
+    for k in range(0, min(IDENTITY_CONFIRMATION_CAP - 1, n - 1) + 1):
         for rest in itertools.combinations(range(1, n), k):
             A = GroupSubset(group, (0, *rest))
             try:
@@ -466,41 +466,32 @@ def _property_instance(group, pair):
             "neighborhood": _els(result.neighborhood), "deficiency": result.deficiency}
 
 
-def check_matching_property(group: GroupTable, *,
-                            exhaustive_cap: int = DEFAULT_PROPERTY_EXHAUSTIVE_CAP,
-                            samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                            order_cap: int = 24, jobs: int = 1) -> CheckReport:
+def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES,
+                            seed: int = 0, order_cap: int = DEFAULT_PROPERTY_ORDER_CAP,
+                            jobs: int = 1) -> CheckReport:
     """Compare the observed matching property with the classification.
 
     Sweeps all pairs (A, B) with |A| = |B| and identity outside B
-    (exhaustively up to the cap, seeded samples above) and requires the
-    outcome to equal the predicted matching property.  When pairs fail,
+    (exhaustively up to ``PROPERTY_EXHAUSTIVE_CAP``, seeded samples above)
+    and requires the outcome to equal the predicted matching property.  When pairs fail,
     the minimal failing pair (by |A|, then lexicographically) is flagged.
     """
     t0 = perf_counter()
     n = group.n
+    if n > order_cap:
+        raise SizeLimit("matching-property sweep", n, order_cap)
     predicted = classify(group).predicted_matching_property
-    if n <= exhaustive_cap:
+    if n <= PROPERTY_EXHAUSTIVE_CAP:
         instances = [
             (a_els, b_els)
             for k in range(1, n)
             for a_els in itertools.combinations(range(n), k)
             for b_els in itertools.combinations(range(1, n), k)
         ]
-        used_seed = None
-        mode = "exhaustive"
-    elif n <= order_cap:
-        rng = random.Random(seed)
-        instances = []
-        for _ in range(samples):
-            k = rng.randint(1, n - 1)
-            a_els = tuple(sorted(rng.sample(range(n), k)))
-            b_els = tuple(sorted(rng.sample(range(1, n), k)))
-            instances.append((a_els, b_els))
-        used_seed = seed
-        mode = "sampled"
+        used_seed, mode = None, "exhaustive"
     else:
-        raise SizeLimit("matching-property sweep", n, order_cap)
+        instances = _sized_pairs(n, n - 1, samples, seed)
+        used_seed, mode = seed, "sampled"
 
     report = CheckReport("matching-property", seed=used_seed)
     failing = []
@@ -616,7 +607,7 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
 # Three-way cross-validation: engine, brute force, Hall inequalities
 
 
-def cross_validate_hall(A: GroupSubset, B: GroupSubset, *, max_size: int = 5) -> bool:
+def cross_validate_hall(A: GroupSubset, B: GroupSubset, *, max_size: int = HALL_MAX_SIZE) -> bool:
     """Agreement of the engine, the bijection oracle, and Hall's condition.
 
     Hall's condition is evaluated in both equivalent forms for every
@@ -673,20 +664,13 @@ def _hall_instance(group, pair):
 
 
 def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
-               seed: int = 0, max_size: int = 5, jobs: int = 1) -> CheckReport:
+               seed: int = 0, jobs: int = 1) -> CheckReport:
     """Seeded random instances of the three-way Hall cross-validation."""
     t0 = perf_counter()
-    n = group.n
     report = CheckReport("hall", seed=seed)
-    if n < 2:
+    if group.n < 2:
         return report.finish(t0)
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(samples):
-        k = rng.randint(1, min(max_size, n - 1))
-        a_els = tuple(sorted(rng.sample(range(n), k)))
-        b_els = tuple(sorted(rng.sample(range(1, n), k)))
-        instances.append((a_els, b_els))
+    instances = _sized_pairs(group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed)
     for outcome in _map_ordered(partial(_hall_instance, group), instances, jobs):
         report.instances_tested += 1
         if outcome is not None:

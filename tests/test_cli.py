@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from groupmatch import cli, make_quaternion, save_group_file
+from groupmatch import CheckReport, cli, make_quaternion, save_group_file
 from groupmatch.cli import main
 
 
@@ -99,6 +100,34 @@ class TestVerifyCommand:
         code, _ = run(capsys, "verify", "C6", "--checks", "olson", "--cap-order", "6")
         assert code == 0
 
+    def test_cap_order_applies_to_exhaustive_matching_property(self, capsys):
+        code, out = run(capsys, "verify", "C6", "--checks", "matching-property",
+                        "--cap-order", "3")
+        assert code == 2
+        assert "check matching-property" in out and "cap 3" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_rejected_before_any_check(self, capsys, monkeypatch, jobs):
+        ran = []
+        monkeypatch.setattr(cli, "sweep_kemperman", lambda *args, **kwargs: ran.append(1))
+        code, out = run(capsys, "verify", "C4", "--checks", "kemperman", "--jobs", jobs,
+                        "--format", "machine")
+        assert code == 2
+        assert "--jobs" in json.loads(out)["error"]["message"]
+        assert ran == []
+
+    def test_check_function_resolved_at_call_time(self, capsys, monkeypatch):
+        calls = []
+
+        def wrapper(group, **kwargs):
+            calls.append(sorted(kwargs))
+            return CheckReport("hall", instances_tested=1, status="pass")
+
+        monkeypatch.setattr(cli, "sweep_hall", wrapper)
+        code, _ = run(capsys, "verify", "C4", "--checks", "hall")
+        assert code == 0
+        assert calls == [["jobs", "seed"]]
+
     def test_unknown_check_rejected(self, capsys):
         code, _ = run(capsys, "verify", "C4", "--checks", "nonsense")
         assert code == 2
@@ -117,6 +146,19 @@ class TestVerifyCommand:
         doc = json.loads(out1)
         assert doc["status"] == "pass"
         assert [c["check"] for c in doc["checks"]] == ["kemperman", "matching-property", "hall"]
+
+    # Digests of reports recorded before the checks shared their instance
+    # generators and corollary moved to the bitmask kernel.
+    @pytest.mark.parametrize("spec,checks,digest", [
+        ("C6", "all", "d2376408514ef41f459d475c4db3f6cc4771b09d285692ca0986f040c815dcd6"),
+        ("Q8", "kemperman,olson,automatching,matching-property,hall",
+         "f347da3c64ef2fe9902cd37aa830d3e54736d3c9530f6cfdb4969018ef6d006d"),
+    ])
+    def test_machine_report_digest_is_pinned(self, capsys, spec, checks, digest):
+        code, out = run(capsys, "verify", spec, "--checks", checks, "--seed", "7",
+                        "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCounterexampleCommand:

@@ -104,10 +104,6 @@ class TestKemperman:
         assert r1.seed == 5
         assert r1.to_dict() == r2.to_dict()
 
-    def test_forced_exhaustive_beyond_cap(self):
-        with pytest.raises(SizeLimit):
-            sweep_kemperman(make_quaternion(), mode="exhaustive")
-
 
 def all_pairs(group):
     subsets = [subset(group, _bits(m)) for m in range(1, 1 << group.n)]
@@ -122,12 +118,21 @@ def seeded_pairs(group, count, seed):
 
 
 class TestProductKernel:
-    @pytest.mark.parametrize("spec,pairs", [("D3", None), ("Q8", 500), ("C2xC4", 500)])
+    @pytest.mark.parametrize("spec,pairs", [
+        ("D3", None), ("Q8", 500), ("C2xC4", 500),
+        ("C720", [([1, 2], [3, 5]), ([0, 359, 719], [1, 360, 361])]),
+    ])
     def test_masks_equal_subset_algebra(self, spec, pairs):
         g = parse_group_spec(spec)
-        rows = _bit_rows(g)
-        for A, B in all_pairs(g) if pairs is None else seeded_pairs(g, pairs, seed=1):
-            ab, repeated = _products(rows, A.elements, B.elements)
+        if pairs is None:
+            instances = all_pairs(g)
+        elif isinstance(pairs, int):
+            instances = seeded_pairs(g, pairs, seed=1)
+        else:
+            instances = [(subset(g, a), subset(g, b)) for a, b in pairs]
+        for A, B in instances:
+            # Only the rows of A are built, as the single-pair checks do.
+            ab, repeated = _products(_bit_rows(g, A.elements), A.elements, B.elements)
             assert _bits(ab) == list(product_set(A, B).elements)
             assert _bits(ab & ~repeated) == [w.value for w in unique_products(A, B)]
 
@@ -312,6 +317,10 @@ class TestMatchingProperty:
     def test_order_cap(self):
         with pytest.raises(SizeLimit):
             check_matching_property(make_cyclic(25))
+
+    def test_order_cap_applies_below_the_exhaustive_cap(self):
+        with pytest.raises(SizeLimit):
+            check_matching_property(make_cyclic(6), order_cap=3)
 
 
 class TestCounterexample:
