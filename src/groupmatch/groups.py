@@ -24,18 +24,24 @@ DEFAULT_SUBGROUP_CAP = 24
 class GroupTable:
     """A finite group given by its Cayley table; index 0 is the identity.
 
-    ``table[a][b]`` is the product a*b as an element index.  ``names`` is
-    an optional tuple of display strings, one per element.
+    ``table[a][b]`` is the product a*b as an element index, and ``array``
+    is the same table as a numpy array in the smallest unsigned dtype that
+    holds n - 1.  ``names`` is an optional tuple of display strings, one
+    per element.
     """
 
-    __slots__ = ("n", "table", "names", "name")
+    __slots__ = ("n", "table", "array", "names", "name")
 
     def __init__(self, table, names=None, name: str | None = None):
         arr = _as_index_array(table)
-        rows = arr.tolist()
+        # Every row shares the n element ints instead of one int per cell.
+        ints = list(range(arr.shape[0]))
+        rows = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in arr)
         _check_group_axioms(arr, rows)
-        self.n = int(arr.shape[0])
-        self.table = tuple(map(tuple, rows))
+        self.n = len(ints)
+        self.table = rows
+        self.array = arr
+        arr.setflags(write=False)
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != self.n:
@@ -144,7 +150,7 @@ def _as_index_array(table) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
         raise ValueError(f"table entry at {tuple(bad)} out of range [0, {n})")
-    return arr.astype(np.int64)
+    return arr.astype(np.min_scalar_type(n - 1))
 
 
 def _first_duplicate(row) -> tuple[int, int]:
@@ -157,7 +163,7 @@ def _first_duplicate(row) -> tuple[int, int]:
     raise AssertionError("no duplicate in row")
 
 
-def _check_group_axioms(arr: np.ndarray, rows: list):
+def _check_group_axioms(arr: np.ndarray, rows):
     n = arr.shape[0]
     idx = np.arange(n)
 
@@ -295,8 +301,8 @@ def direct_product(g: GroupTable, h: GroupTable,
     n = g.n * h.n
     if n > order_cap:
         raise SizeLimit("direct product", n, order_cap)
-    ga = np.asarray(g.table, dtype=np.int64)
-    ha = np.asarray(h.table, dtype=np.int64)
+    ga = g.array.astype(np.int64)
+    ha = h.array.astype(np.int64)
     table = (np.repeat(np.repeat(ga, h.n, axis=0), h.n, axis=1) * h.n
              + np.tile(ha, (g.n, g.n)))
     name = f"{g.name}x{h.name}" if g.name and h.name else None

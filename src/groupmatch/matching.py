@@ -8,26 +8,45 @@ matchability graph; non-existence is certified by a Hall violator.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyInput, IdentityInB, SizeLimit, SizeMismatch
+from .groups import GroupTable
 from .subsets import GroupSubset, _same_group
 
 BRUTE_FORCE_CAP = 7
+# Graphs of at least this many |A|*|B| cells in a finite group gather
+# their rows from the numpy Cayley table; smaller pairs and lattices
+# build them in Python from ``mul``.  The two builders take equal time
+# between 144 and 169 cells, where numpy's fixed cost per call is paid off.
+TABLE_ROWS_MIN_CELLS = 169
 
 
 @dataclass(frozen=True)
 class MatchabilityGraph:
     """Bipartite graph on A and B with an edge (a, b) iff a*b is not in A.
 
-    ``adjacency[i]`` lists, as ascending indices into ``right``, the
-    elements of B that ``left[i]`` may be matched to.
+    Bit j of ``rows[i]`` is set iff ``left[i]`` may be matched to
+    ``right[j]``.  ``adjacency[i]`` lists the same positions as an
+    ascending tuple; it is derived from ``rows`` on first read.
     """
 
     left: tuple
     right: tuple
-    adjacency: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        width = (len(self.right) + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(self.rows), width),
+                             axis=1, bitorder="little")
+        columns = np.nonzero(bits)[1].tolist()
+        ends = list(itertools.accumulate(map(int.bit_count, self.rows)))
+        return tuple(tuple(columns[start:end]) for start, end in zip([0, *ends], ends))
 
 
 @dataclass(frozen=True)
@@ -61,77 +80,103 @@ class VerifyResult:
         return self.ok
 
 
+def _python_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
+    mul, members = A.group.mul, A.members
+    bits = [1 << j for j in range(len(B))]
+    rows = []
+    for a in A.elements:
+        row = 0
+        for x, bit in zip(B.elements, bits):
+            if mul(a, x) not in members:
+                row |= bit
+        rows.append(row)
+    return tuple(rows)
+
+
+def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
+    # One gather of the products from the Cayley table, one lookup of
+    # membership in A, each row packed little-endian: bit j is B.elements[j].
+    in_A = np.zeros(A.group.n, dtype=bool)
+    in_A[list(A.elements)] = True
+    products = A.group.array[np.ix_(A.elements, B.elements)]
+    packed = np.packbits(~in_A[products], axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return tuple(int.from_bytes(data[i:i + width], "little")
+                 for i in range(0, len(data), width))
+
+
 def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
     """The matchability graph; row i is the candidate set of left[i]."""
     g = _same_group(A, B)
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
-    mul, members = g.mul, A.members
-    adjacency = tuple(
-        tuple([j for j, x in enumerate(B.elements) if mul(a, x) not in members])
-        for a in A.elements
-    )
-    return MatchabilityGraph(left=A.elements, right=B.elements, adjacency=adjacency)
+    if isinstance(g, GroupTable) and len(A) * len(B) >= TABLE_ROWS_MIN_CELLS:
+        rows = _table_rows(A, B)
+    else:
+        rows = _python_rows(A, B)
+    return MatchabilityGraph(left=A.elements, right=B.elements, rows=rows)
 
 
 def _maximum_matching(graph: MatchabilityGraph) -> tuple[list, list]:
     """Kuhn's augmenting-path algorithm with a fixed ascending scan order.
 
     The depth-first search keeps its own stack, so path length is not
-    bounded by the recursion limit.  A failed search leaves the matching
-    unchanged and every right vertex it visited reaches only matched
-    vertices it also visited, so the visited marks carry over to the next
-    root and are reset only after an augmentation; the matching found is
-    the same as with fresh marks per root.
+    bounded by the recursion limit.  Each step takes the lowest right
+    vertex of ``rows[u] & unvisited``, which is where an ascending scan of
+    the row would resume.  A failed search leaves the matching unchanged
+    and every right vertex it visited reaches only matched vertices it
+    also visited, so the visited marks carry over to the next root and are
+    reset only after an augmentation; the matching found is the same as
+    with fresh marks per root.
     """
-    adjacency = graph.adjacency
+    rows = graph.rows
     match_left: list[int | None] = [None] * len(graph.left)
     match_right: list[int | None] = [None] * len(graph.right)
-    visited = [False] * len(graph.right)
-    for root in range(len(adjacency)):
-        # lefts[k] is reached through rights[k - 1]; scans[k] resumes its row.
-        lefts, rights, scans = [root], [], [iter(adjacency[root])]
-        while scans:
-            for v in scans[-1]:
-                if not visited[v]:
-                    break
-            else:
-                scans.pop()
+    all_right = unvisited = (1 << len(graph.right)) - 1
+    for root in range(len(rows)):
+        # lefts[k + 1] is the partner of the right vertex taken from lefts[k].
+        lefts = [root]
+        while lefts:
+            avail = rows[lefts[-1]] & unvisited
+            if not avail:
                 lefts.pop()
-                if rights:
-                    rights.pop()
                 continue
-            visited[v] = True
-            rights.append(v)
+            low = avail & -avail
+            unvisited ^= low
+            v = low.bit_length() - 1
             w = match_right[v]
             if w is None:
-                for u, v in zip(lefts, rights):
-                    match_left[u] = v
+                # Flip the path: each left vertex takes the right vertex
+                # reached from it and hands its old one to its predecessor.
+                for u in reversed(lefts):
                     match_right[v] = u
-                visited = [False] * len(match_right)
+                    match_left[u], v = v, match_left[u]
+                unvisited = all_right
                 break
             lefts.append(w)
-            scans.append(iter(adjacency[w]))
     return match_left, match_right
 
 
-def _extract_violator(A: GroupSubset, B: GroupSubset, graph: MatchabilityGraph,
+def _extract_violator(A: GroupSubset, graph: MatchabilityGraph,
                       match_left, match_right) -> HallViolator:
     # Alternating BFS from every unmatched left vertex; the reachable left
-    # vertices form a Hall violator once the matching is maximum.
-    reach_left = {u for u in range(len(graph.left)) if match_left[u] is None}
-    reach_right: set[int] = set()
-    queue = deque(sorted(reach_left))
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency[u]:
-            if v in reach_right:
-                continue
-            reach_right.add(v)
+    # vertices form a Hall violator once the matching is maximum.  Each row
+    # contributes the bits not reached before it, in ascending order; each
+    # right vertex is reached once, so each matched partner is queued once.
+    reach_left = [u for u, v in enumerate(match_left) if v is None]
+    reach_right: list[int] = []
+    reached = 0
+    for u in reach_left:
+        new = graph.rows[u] & ~reached
+        reached |= new
+        while new:
+            low = new & -new
+            new ^= low
+            v = low.bit_length() - 1
+            reach_right.append(v)
             w = match_right[v]
-            if w is not None and w not in reach_left:
-                reach_left.add(w)
-                queue.append(w)
+            if w is not None:
+                reach_left.append(w)
     subset = GroupSubset(A.group, (graph.left[u] for u in reach_left))
     neighborhood = GroupSubset(A.group, (graph.right[v] for v in reach_right))
     return HallViolator(subset=subset, neighborhood=neighborhood,
@@ -160,7 +205,7 @@ def find_matching(A: GroupSubset, B: GroupSubset):
         pairs = tuple((graph.left[u], graph.right[match_left[u]])
                       for u in range(len(graph.left)))
         return Matching(pairs=pairs)
-    return _extract_violator(A, B, graph, match_left, match_right)
+    return _extract_violator(A, graph, match_left, match_right)
 
 
 def verify_matching(A: GroupSubset, B: GroupSubset, matching: Matching) -> VerifyResult:

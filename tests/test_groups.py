@@ -101,6 +101,14 @@ class TestTableValidation:
         assert make_cyclic(4) == parse_group_spec("C4")
         assert make_cyclic(4) != make_cyclic(5)
 
+    @pytest.mark.parametrize("n, dtype", [(1, "uint8"), (256, "uint8"), (257, "uint16")])
+    def test_array_mirrors_table(self, n, dtype):
+        g = make_cyclic(n)
+        assert g.array.dtype == dtype and not g.array.flags.writeable
+        assert g.array.tolist() == [list(row) for row in g.table]
+        # one int object per element, shared by every row
+        assert len({id(x) for row in g.table for x in row}) == n
+
 
 class TestFamilies:
     def test_cyclic_law(self):

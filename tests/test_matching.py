@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -23,7 +24,8 @@ from groupmatch import (
     make_quaternion,
     verify_matching,
 )
-from groupmatch.matching import _maximum_matching
+from groupmatch import matching
+from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _maximum_matching
 
 SMALL_GROUPS = [make_cyclic(4), make_cyclic(5), make_cyclic(6), make_dihedral(3), make_quaternion()]
 
@@ -65,14 +67,39 @@ class TestBuildGraph:
     @pytest.mark.parametrize("group, a_els, b_els", [
         (make_dihedral(3), [1, 3, 4], [2, 3, 5]),
         (LatticeGroup(2), [(0, 0), (1, 0), (0, 1), (1, 1)], [(-1, 0), (0, -1), (1, 0), (2, 1)]),
-    ], ids=["d3", "z2"])
+        (make_cyclic(64), range(0, 42, 3), range(1, 64, 5)),
+    ], ids=["d3", "z2", "c64"])
     def test_rows_are_candidate_sets(self, group, a_els, b_els):
         A = GroupSubset(group, a_els)
         B = GroupSubset(group, b_els)
         g = build_graph(A, B)
         for i, a in enumerate(g.left):
+            candidates = candidate_set(A, B, a).elements
             row = tuple(g.right[j] for j in g.adjacency[i])
-            assert row == candidate_set(A, B, a).elements
+            assert row == candidates
+            assert g.rows[i] == sum(1 << g.right.index(x) for x in candidates)
+
+    @pytest.mark.parametrize("group", [make_quaternion(), make_dihedral(32), make_cyclic(64),
+                                       make_cyclic(512)], ids=["q8", "d32", "c64", "c512"])
+    def test_table_rows_equal_python_rows(self, group, monkeypatch):
+        rng = random.Random(f"rows/{group.name}")
+        below = math.isqrt(TABLE_ROWS_MIN_CELLS - 1)
+        at = math.isqrt(TABLE_ROWS_MIN_CELLS)
+        assert below * below < at * at == TABLE_ROWS_MIN_CELLS
+        for k in (1, 2, group.n // 2, group.n - 1, below, at):
+            if k >= group.n:
+                continue
+            for _ in range(3):
+                A = GroupSubset(group, rng.sample(range(group.n), k))
+                B = GroupSubset(group, rng.sample(range(1, group.n), k))
+                assert matching._table_rows(A, B) == matching._python_rows(A, B)
+                if k in (below, at):
+                    # Default path first, then the other builder forced.
+                    result = find_matching(A, B)
+                    monkeypatch.setattr(matching, "TABLE_ROWS_MIN_CELLS",
+                                        1 if k == below else TABLE_ROWS_MIN_CELLS + 1)
+                    assert find_matching(A, B) == result
+                    monkeypatch.undo()
 
     def test_empty_rejected(self):
         c4 = make_cyclic(4)
