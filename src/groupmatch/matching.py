@@ -157,7 +157,7 @@ def _maximum_matching(graph: MatchabilityGraph) -> tuple[list, list]:
     return match_left, match_right
 
 
-def _extract_violator(A: GroupSubset, graph: MatchabilityGraph,
+def _extract_violator(group, graph: MatchabilityGraph,
                       match_left, match_right) -> HallViolator:
     # Alternating BFS from every unmatched left vertex; the reachable left
     # vertices form a Hall violator once the matching is maximum.  Each row
@@ -177,8 +177,8 @@ def _extract_violator(A: GroupSubset, graph: MatchabilityGraph,
             w = match_right[v]
             if w is not None:
                 reach_left.append(w)
-    subset = GroupSubset(A.group, (graph.left[u] for u in reach_left))
-    neighborhood = GroupSubset(A.group, (graph.right[v] for v in reach_right))
+    subset = GroupSubset(group, (graph.left[u] for u in reach_left))
+    neighborhood = GroupSubset(group, (graph.right[v] for v in reach_right))
     return HallViolator(subset=subset, neighborhood=neighborhood,
                         deficiency=len(subset) - len(neighborhood))
 
@@ -199,13 +199,15 @@ def find_matching(A: GroupSubset, B: GroupSubset):
     if A.group.identity in B:
         raise IdentityInB("B contains the identity, so no matching can exist")
 
-    graph = build_graph(A, B)
+    return _graph_result(A.group, build_graph(A, B))
+
+
+def _graph_result(group, graph: MatchabilityGraph):
+    """A Matching of every left vertex, or a HallViolator in ``group``."""
     match_left, match_right = _maximum_matching(graph)
-    if all(v is not None for v in match_left):
-        pairs = tuple((graph.left[u], graph.right[match_left[u]])
-                      for u in range(len(graph.left)))
-        return Matching(pairs=pairs)
-    return _extract_violator(A, graph, match_left, match_right)
+    if None in match_left:
+        return _extract_violator(group, graph, match_left, match_right)
+    return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))
 
 
 def verify_matching(A: GroupSubset, B: GroupSubset, matching: Matching) -> VerifyResult:
@@ -227,9 +229,12 @@ def verify_matching(A: GroupSubset, B: GroupSubset, matching: Matching) -> Verif
 
 
 def brute_force_matching(A: GroupSubset, B: GroupSubset, max_size: int = BRUTE_FORCE_CAP):
-    """Scan all |A|! bijections in lexicographic order; independent oracle.
+    """Search the |A|! bijections in lexicographic order; independent oracle.
 
-    Returns the first valid Matching, or None when every bijection fails.
+    A depth-first search assigns images to ``A.elements`` in order and
+    abandons a partial bijection at its first pair with a*b in A, since
+    no bijection extending it is valid.  Returns the first valid Matching
+    in lexicographic order, or None when every bijection fails.
     """
     g = _same_group(A, B)
     if len(A) == 0 or len(B) == 0:
@@ -238,8 +243,19 @@ def brute_force_matching(A: GroupSubset, B: GroupSubset, max_size: int = BRUTE_F
         raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
     if len(A) > max_size:
         raise SizeLimit("brute-force bijection scan", len(A), max_size)
-    lefts = A.elements
-    for image in itertools.permutations(B.elements):
-        if all(g.mul(a, b) not in A for a, b in zip(lefts, image)):
-            return Matching(pairs=tuple(zip(lefts, image)))
-    return None
+    lefts, mul, members = A.elements, g.mul, A.members
+
+    def extend(image: tuple, free: tuple):
+        # free is B minus image, ascending, so images are tried in order.
+        if not free:
+            return image
+        a = lefts[len(image)]
+        for i, b in enumerate(free):
+            if mul(a, b) not in members:
+                found = extend(image + (b,), free[:i] + free[i + 1:])
+                if found is not None:
+                    return found
+        return None
+
+    image = extend((), B.elements)
+    return None if image is None else Matching(pairs=tuple(zip(lefts, image)))

@@ -23,7 +23,8 @@ from time import perf_counter
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import HallViolator, Matching, brute_force_matching, find_matching, verify_matching
+from .matching import (HallViolator, MatchabilityGraph, Matching, _graph_result, brute_force_matching,
+                       find_matching, verify_matching)
 from .reports import elements_json as _els
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -115,6 +116,21 @@ def _bit_rows(group: GroupTable, left=None) -> dict:
     masks, for every a or only for the a in ``left``."""
     left = group.elements() if left is None else left
     return {a: tuple(1 << x for x in group.table[a]) for a in left}
+
+
+def _back_rows(group: GroupTable) -> list:
+    """``back[a][y] == 1 << (a⁻¹*y)``, so summing ``back[a]`` over the y in
+    A gives the mask of the x with a*x in A."""
+    rows = _bit_rows(group)
+    return [rows[group.inverse(a)] for a in group.elements()]
+
+
+def _mask_result(group, back, a_els, b_mask):
+    """What find_matching(A, B) returns, for A given by its ascending
+    elements and B by its mask.  Row a is B minus {x : a*x in A}, with bit
+    x for element x, so Kuhn's scan follows the ascending order of B."""
+    rows = tuple(b_mask & ~sum(map(back[a].__getitem__, a_els)) for a in a_els)
+    return _graph_result(group, MatchabilityGraph(left=a_els, right=group.elements(), rows=rows))
 
 
 def _products(rows, a_els, b_els) -> tuple:
@@ -399,16 +415,18 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 # Automatching: a matching A -> A exists iff the identity is outside A
 
 
-def _automatching_instance(group, mask):
-    A = GroupSubset(group, _bits(mask << 1))
-    result = find_matching(A, A)
+def _automatching_instance(group, back, mask):
+    a_mask = mask << 1
+    a_els = _bits(a_mask)
+    result = _mask_result(group, back, a_els, a_mask)
     if isinstance(result, HallViolator):
-        return {"kind": "automatching-violator", "A": _els(A),
+        return {"kind": "automatching-violator", "A": a_els,
                 "S": _els(result.subset), "neighborhood": _els(result.neighborhood),
                 "deficiency": result.deficiency}
+    A = GroupSubset(group, a_els)
     verdict = verify_matching(A, A, result)
     if not verdict:
-        return {"kind": "invalid-matching", "A": _els(A), "why": verdict.reason}
+        return {"kind": "invalid-matching", "A": a_els, "why": verdict.reason}
     return None
 
 
@@ -428,7 +446,8 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
         raise SizeLimit("automatching sweep", n, order_cap)
     report = CheckReport("automatching")
     instances = list(range(1, 1 << (n - 1)))
-    for outcome in _map_ordered(partial(_automatching_instance, group), instances, jobs):
+    for outcome in _map_ordered(partial(_automatching_instance, group, _back_rows(group)),
+                                instances, jobs):
         report.instances_tested += 1
         if outcome is not None:
             report.failures.append(outcome)
@@ -455,14 +474,12 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
 # Matching-property classification
 
 
-def _property_instance(group, pair):
+def _property_instance(group, back, pair):
     a_els, b_els = pair
-    A = GroupSubset(group, a_els)
-    B = GroupSubset(group, b_els)
-    result = find_matching(A, B)
+    result = _mask_result(group, back, a_els, sum(1 << b for b in b_els))
     if isinstance(result, Matching):
         return None
-    return {"A": _els(A), "B": _els(B), "S": _els(result.subset),
+    return {"A": _els(a_els), "B": _els(b_els), "S": _els(result.subset),
             "neighborhood": _els(result.neighborhood), "deficiency": result.deficiency}
 
 
@@ -495,7 +512,8 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
 
     report = CheckReport("matching-property", seed=used_seed)
     failing = []
-    for outcome in _map_ordered(partial(_property_instance, group), instances, jobs):
+    for outcome in _map_ordered(partial(_property_instance, group, _back_rows(group)),
+                                instances, jobs):
         report.instances_tested += 1
         if outcome is not None:
             failing.append(outcome)

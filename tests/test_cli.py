@@ -148,11 +148,18 @@ class TestVerifyCommand:
         assert [c["check"] for c in doc["checks"]] == ["kemperman", "matching-property", "hall"]
 
     # Digests of reports recorded before the checks shared their instance
-    # generators and corollary moved to the bitmask kernel.
+    # generators and corollary moved to the bitmask kernel (C6, Q8), and
+    # before automatching and matching-property left GroupSubset and
+    # find_matching (D6 has violator records; C14 has 13x13 pairs, which
+    # find_matching gathers from the numpy table).
     @pytest.mark.parametrize("spec,checks,digest", [
         ("C6", "all", "d2376408514ef41f459d475c4db3f6cc4771b09d285692ca0986f040c815dcd6"),
         ("Q8", "kemperman,olson,automatching,matching-property,hall",
          "f347da3c64ef2fe9902cd37aa830d3e54736d3c9530f6cfdb4969018ef6d006d"),
+        ("D6", "automatching,matching-property",
+         "ea3a40b03ede82682cba70062d6c11d9bd539cf56e73e1b50e1dc709a08fec68"),
+        ("C14", "automatching,matching-property,hall",
+         "beb81da279ce7aa37cebcd62efc5728e2f5b2d3ad75aeb874529d3d647be1dc4"),
     ])
     def test_machine_report_digest_is_pinned(self, capsys, spec, checks, digest):
         code, out = run(capsys, "verify", spec, "--checks", checks, "--seed", "7",

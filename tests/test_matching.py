@@ -30,6 +30,14 @@ from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _maximum_matching
 SMALL_GROUPS = [make_cyclic(4), make_cyclic(5), make_cyclic(6), make_dihedral(3), make_quaternion()]
 
 
+def _permutation_scan(A, B):
+    """The first valid bijection among all |A|! in lexicographic order."""
+    for image in itertools.permutations(B.elements):
+        if all(A.group.mul(a, b) not in A for a, b in zip(A.elements, image)):
+            return Matching(pairs=tuple(zip(A.elements, image)))
+    return None
+
+
 def admissible_pairs(group, max_size):
     """All (A, B) with |A| = |B| <= max_size and the identity outside B."""
     n = group.n
@@ -314,6 +322,26 @@ class TestBruteForce:
                 engine = isinstance(find_matching(A, B), Matching)
                 brute = brute_force_matching(A, B) is not None
                 assert engine == brute
+
+    def test_same_first_matching_as_permutation_scan(self):
+        results = set()
+        pairs = [pair for g in (make_dihedral(3), make_cyclic(6)) for pair in admissible_pairs(g, 4)]
+        q8, z2 = make_quaternion(), LatticeGroup(2)
+        rng = random.Random("oracle")
+        for k in range(1, 8):
+            for _ in range(15):
+                pairs.append((GroupSubset(q8, rng.sample(range(8), k)),
+                              GroupSubset(q8, rng.sample(range(8), k))))
+        points = list(itertools.product(range(-1, 2), repeat=2))
+        for k in range(1, 7):
+            for _ in range(15):
+                pairs.append((GroupSubset(z2, rng.sample(points, k)),
+                              GroupSubset(z2, rng.sample(points, k))))
+        for A, B in pairs:
+            found = brute_force_matching(A, B)
+            assert found == _permutation_scan(A, B)
+            results.add(found is None)
+        assert results == {True, False}
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

@@ -11,6 +11,7 @@ from groupmatch import (
     HallViolator,
     IdentityInB,
     LatticeGroup,
+    Matching,
     NotApplicable,
     SizeLimit,
     brute_force_matching,
@@ -36,8 +37,12 @@ from groupmatch import (
     sweep_kemperman,
     sweep_olson,
     unique_products,
+    verify_matching,
 )
-from groupmatch.theorems import _bit_rows, _bits, _products
+from groupmatch.matching import TABLE_ROWS_MIN_CELLS
+from groupmatch.reports import elements_json
+from groupmatch.theorems import (_automatching_instance, _back_rows, _bit_rows, _bits,
+                                 _mask_result, _products, _property_instance)
 
 
 def subset(group, els):
@@ -278,6 +283,66 @@ class TestAutomatching:
     def test_order_cap(self):
         with pytest.raises(SizeLimit):
             check_automatching(make_cyclic(16))
+
+    @pytest.mark.parametrize("spec", ["D8", "Q8xC2", "D4xC2"])
+    def test_nonabelian_order_16_exhaustive(self, spec):
+        r = check_automatching(parse_group_spec(spec), order_cap=16)
+        assert r.status == "pass" and r.instances_tested == 2 ** 15 - 1
+        assert r.flagged == [{"kind": "identity-in-A-confirmations", "count": 1941}]
+
+
+def engine_result(group, a_els, b_els):
+    """find_matching on GroupSubsets, with every matching verified."""
+    A, B = subset(group, a_els), subset(group, b_els)
+    result = find_matching(A, B)
+    if isinstance(result, Matching):
+        assert verify_matching(A, B, result)
+    return result
+
+
+def violator_record(a_els, b_els, result):
+    return {"A": elements_json(a_els), "B": elements_json(b_els), "S": elements_json(result.subset),
+            "neighborhood": elements_json(result.neighborhood),
+            "deficiency": result.deficiency}
+
+
+class TestMaskInstancePath:
+    """The sweeps' mask instances against the public engine on GroupSubsets."""
+
+    def test_property_instances(self):
+        # Sizes 12 and 13 in C14 take find_matching's Python and numpy row
+        # builders on either side of TABLE_ROWS_MIN_CELLS.
+        assert 12 * 12 < TABLE_ROWS_MIN_CELLS <= 13 * 13
+        unmatchable = 0
+        for spec, sizes in [("C12", range(1, 12)), ("D6", range(1, 12)), ("Q8", range(1, 8)),
+                            ("C2xC4", range(1, 8)), ("C14", [3, 6, 9, 12, 13])]:
+            g = parse_group_spec(spec)
+            back = _back_rows(g)
+            rng = random.Random(f"property/{spec}")
+            for k in sizes:
+                for _ in range(12):
+                    a_els = tuple(sorted(rng.sample(range(g.n), k)))
+                    b_els = tuple(sorted(rng.sample(range(1, g.n), k)))
+                    expected = engine_result(g, a_els, b_els)
+                    assert _mask_result(g, back, a_els, sum(1 << b for b in b_els)) == expected
+                    record = _property_instance(g, back, (a_els, b_els))
+                    if isinstance(expected, Matching):
+                        assert record is None
+                    else:
+                        assert record == violator_record(a_els, b_els, expected)
+                        unmatchable += 1
+        assert unmatchable >= 20
+
+    @pytest.mark.parametrize("spec", ["D5", "Q8"])
+    def test_automatching_instances(self, spec):
+        g = parse_group_spec(spec)
+        back = _back_rows(g)
+        for mask in range(1, 1 << (g.n - 1)):
+            a_els = _bits(mask << 1)
+            expected = engine_result(g, a_els, a_els)
+            assert isinstance(expected, Matching)
+            assert _mask_result(g, back, a_els, mask << 1) == expected
+            assert _automatching_instance(g, back, mask) is None
 
 
 class TestMatchingProperty:
