@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of %s or 'all'" % ",".join(CHECKS))
     p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for sweeps; 1 is the deterministic single-threaded path")
+                   help="worker processes for the automatching, matching-property and hall "
+                        "sweeps; the product-set sweeps ignore it")
     p.add_argument("--cap-order", type=int, default=None,
                    help="override the group-order cap of %s; an error for any other check"
                    % ", ".join(CAPPED_CHECKS))

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
+
+import numpy as np
 
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
@@ -37,6 +38,7 @@ HALL_MAX_SIZE = 5               # |A| = |B| bound of the Hall cross-validation
 DEFAULT_SAMPLES = 2000
 DEFAULT_HALL_SAMPLES = 500
 DEFAULT_LATTICE_SIZE_CAP = 10
+PAIR_BLOCK = 1024               # pairs per array block of the product-set sweeps
 
 
 @dataclass
@@ -111,11 +113,10 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _bit_rows(group: GroupTable, left=None) -> dict:
+def _bit_rows(group: GroupTable) -> dict:
     """``rows[a][b] == 1 << (a*b)``: the group law with products as one-bit
-    masks, for every a or only for the a in ``left``."""
-    left = group.elements() if left is None else left
-    return {a: tuple(1 << x for x in group.table[a]) for a in left}
+    masks."""
+    return {a: tuple(1 << x for x in group.table[a]) for a in group.elements()}
 
 
 def _back_rows(group: GroupTable) -> list:
@@ -133,25 +134,58 @@ def _mask_result(group, back, a_els, b_mask):
     return _graph_result(group, MatchabilityGraph(left=a_els, right=group.elements(), rows=rows))
 
 
-def _products(rows, a_els, b_els) -> tuple:
-    """(AB, repeated) as masks; repeated marks the products with two or more
-    factorizations.  Each translate aB has |B| distinct bits, so its sum is
-    its union."""
-    once = twice = 0
-    for a in a_els:
-        translate = sum(map(rows[a].__getitem__, b_els))
-        twice |= once & translate
-        once |= translate
-    return once, twice
+def _columns(masks, n: int) -> np.ndarray:
+    """Boolean (n, len(masks)) matrix of int masks: column p is mask p, row i
+    its bit i."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width).T, axis=0, count=n,
+                         bitorder="little").view(bool)
 
 
-def _mask_pairs(n: int, exhaustive_cap: int, samples: int, seed: int) -> tuple:
-    """(instances, seed to report): every pair of nonempty masks when n is
+def _column(group: GroupTable, els) -> np.ndarray:
+    """The (n, 1) boolean column of one subset."""
+    col = np.zeros((group.n, 1), bool)
+    col[list(els), 0] = True
+    return col
+
+
+def _all_pairs(subsets: np.ndarray):
+    """(A, B) blocks of every pair of columns of subsets, A-major."""
+    m = subsets.shape[1]
+    for lo in range(0, m * m, PAIR_BLOCK):
+        i = np.arange(lo, min(lo + PAIR_BLOCK, m * m))
+        yield subsets[:, i // m], subsets[:, i % m]
+
+
+def _sampled_pairs(n: int, samples: int, rng: random.Random):
+    """(A, B) blocks of seeded pairs of nonempty subsets."""
+    for lo in range(0, samples, PAIR_BLOCK):
+        draws = [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n))
+                 for _ in range(min(PAIR_BLOCK, samples - lo))]
+        a_masks, b_masks = zip(*draws)
+        yield _columns(a_masks, n), _columns(b_masks, n)
+
+
+def _pair_blocks(n: int, exhaustive_cap: int, samples: int, seed: int) -> tuple:
+    """(blocks, seed to report): every pair of nonempty subsets when n is
     within the cap (seed None), else a seeded sample of pairs."""
     if n <= exhaustive_cap:
-        return list(itertools.product(range(1, 1 << n), repeat=2)), None
-    rng = random.Random(seed)
-    return [(rng.randrange(1, 1 << n), rng.randrange(1, 1 << n)) for _ in range(samples)], seed
+        return _all_pairs(_columns(range(1, 1 << n), n)), None
+    return _sampled_pairs(n, samples, random.Random(seed)), seed
+
+
+def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray, left=None) -> np.ndarray:
+    """``count[c, p] = #{(a, b) in A_p x B_p : a*b = c}`` for boolean (n, P)
+    matrices A and B whose column p is the pair p.  One vector step per a in
+    ``left`` (default: every element), which must cover the rows set in A:
+    row a of the argsort of the table maps c to a⁻¹c, the b with a*b = c."""
+    left = list(group.elements() if left is None else left)
+    divide = np.argsort(group.array[left], axis=1)
+    count = np.zeros(A.shape, np.min_scalar_type(group.n))    # no count exceeds n
+    for a, row in zip(left, divide):
+        count += A[a] & B[row]
+    return count
 
 
 def _sized_pairs(n: int, max_k: int, samples: int, seed: int) -> list:
@@ -168,14 +202,37 @@ def _sized_pairs(n: int, max_k: int, samples: int, seed: int) -> list:
 def _map_ordered(fn, items: list, jobs: int) -> list:
     """Apply fn to items, optionally on a process pool, preserving order."""
     if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(items) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items, chunksize=chunk))
     return [fn(x) for x in items]
 
 
+def _members(column) -> list:
+    """The elements set in a boolean column, ascending."""
+    return np.flatnonzero(column).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Product-set lower bound (unique-product hypothesis)
+
+
+def _kemperman_block(group: GroupTable, A, B, left=None) -> tuple:
+    """(pairs without a unique product, failure records) for a block of pairs.
+    Records are built only for the pairs that break the bound."""
+    count = _product_counts(group, A, B, left)
+    unique = count == 1
+    met = unique.any(axis=0)
+    a_size, b_size = A.sum(axis=0), B.sum(axis=0)
+    ab_size = np.count_nonzero(count, axis=0)
+    failures = [{
+        "kind": "product-bound-violated",
+        "A": _members(A[:, p]), "B": _members(B[:, p]),
+        "A_size": int(a_size[p]), "B_size": int(b_size[p]), "AB_size": int(ab_size[p]),
+        "unique_product": int(unique[:, p].argmax()),
+    } for p in np.flatnonzero(met & (ab_size < a_size + b_size - 1))]
+    return int(np.count_nonzero(~met)), failures
 
 
 def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
@@ -187,53 +244,31 @@ def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
     report = CheckReport("kemperman")
-    outcome = _kemperman_outcome(_bit_rows(g, A.elements), A.elements, B.elements)
-    if outcome is None:
+    skipped, failures = _kemperman_block(g, _column(g, A.elements), _column(g, B.elements),
+                                         A.elements)
+    if skipped:
         report.flagged.append({"kind": "hypothesis-unmet",
                                "why": "no unique-product element in AB"})
     else:
         report.instances_tested = 1
-        if outcome is not True:
-            report.failures.append(outcome)
+        report.failures.extend(failures)
     return report.finish(t0)
-
-
-def _kemperman_outcome(rows, a_els, b_els):
-    """None when AB has no unique product, True when the bound holds, else
-    the failure record."""
-    ab, repeated = _products(rows, a_els, b_els)
-    unique = ab & ~repeated
-    if not unique:
-        return None
-    size = ab.bit_count()
-    if size >= len(a_els) + len(b_els) - 1:
-        return True
-    return {
-        "kind": "product-bound-violated",
-        "A": _els(a_els), "B": _els(b_els),
-        "A_size": len(a_els), "B_size": len(b_els), "AB_size": size,
-        "unique_product": (unique & -unique).bit_length() - 1,
-    }
-
-
-def _kemperman_instance(rows, masks):
-    return _kemperman_outcome(rows, _bits(masks[0]), _bits(masks[1]))
 
 
 def sweep_kemperman(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
                     samples: int = DEFAULT_SAMPLES, seed: int = 0,
                     jobs: int = 1) -> CheckReport:
     """Run the product-set bound over all nonempty pairs (A, B), or a
-    seeded sample of pairs when the group is over the exhaustive cap."""
+    seeded sample of pairs when the group is over the exhaustive cap.
+    ``jobs`` is accepted and ignored: the pairs run as whole-array blocks."""
     t0 = perf_counter()
-    instances, used_seed = _mask_pairs(group.n, exhaustive_cap, samples, seed)
+    blocks, used_seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
     report = CheckReport("kemperman", seed=used_seed)
-    for outcome in _map_ordered(partial(_kemperman_instance, _bit_rows(group)), instances, jobs):
-        report.instances_tested += 1
-        if outcome is None:
-            report.instances_skipped += 1
-        elif outcome is not True:
-            report.failures.append(outcome)
+    for A, B in blocks:
+        skipped, failures = _kemperman_block(group, A, B)
+        report.instances_tested += A.shape[1]
+        report.instances_skipped += skipped
+        report.failures.extend(failures)
     return report.finish(t0)
 
 
@@ -281,19 +316,6 @@ def check_corollary(U: GroupSubset, V: GroupSubset, X: GroupSubset) -> CheckRepo
     return report.finish(t0)
 
 
-def _corollary_pair(rows, masks):
-    """The two records of one (U, V), or None when UV holds the identity.
-    The masks cover the non-identity elements, so they skip bit 0."""
-    mu, mv = masks[0] << 1, masks[1] << 1
-    u, v = _bits(mu), _bits(mv)
-    uv = _products(rows, u, v)[0]
-    if uv & 1:
-        return None
-    x_full = (1 << len(rows)) - 2
-    return (_corollary_instance(u, v, _bits(mu | mv | uv), "minimal"),
-            _corollary_instance(u, v, _bits(x_full), "full"))
-
-
 def sweep_corollary(group: GroupTable, *, order_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
                     jobs: int = 1) -> CheckReport:
     """Exhaust the containment bound over admissible (U, V) pairs.
@@ -302,26 +324,33 @@ def sweep_corollary(group: GroupTable, *, order_cap: int = DEFAULT_EXHAUSTIVE_PA
     pair is admissible when UV avoids the identity.  Each admissible pair
     is tested against two X choices: the minimal U ∪ V ∪ UV and the full
     complement of the identity.  Stated-bound counterexamples are sorted
-    smallest-X first.
+    smallest-X first.  ``jobs`` is accepted and ignored.
     """
     t0 = perf_counter()
     n = group.n
     if n > order_cap:
         raise SizeLimit("containment-bound sweep", n, order_cap)
-    instances = list(itertools.product(range(1, 1 << (n - 1)), repeat=2))
+    # U and V are subsets of the non-identity elements: row 0 stays unset.
+    subsets = np.zeros((n, (1 << (n - 1)) - 1), bool)
+    subsets[1:] = _columns(range(1, 1 << (n - 1)), n - 1)
+    x_full = list(range(1, n))
     report = CheckReport("corollary")
     stated = []
-    for outcome in _map_ordered(partial(_corollary_pair, _bit_rows(group)), instances, jobs):
-        if outcome is None:
-            report.instances_tested += 1
-            report.instances_skipped += 1
-            continue
-        for record in outcome:
-            report.instances_tested += 1
-            if not record["corrected_holds"]:
-                report.failures.append({"kind": "corrected-bound-violated", **record})
-            if not record["stated_holds"]:
-                stated.append({"kind": "stated-bound-counterexample", **record})
+    for U, V in _all_pairs(subsets):
+        uv = _product_counts(group, U, V) > 0
+        skipped = int(np.count_nonzero(uv[0]))
+        report.instances_tested += skipped
+        report.instances_skipped += skipped
+        for p in np.flatnonzero(~uv[0]):
+            u, v = _members(U[:, p]), _members(V[:, p])
+            for record in (_corollary_instance(u, v, _members(U[:, p] | V[:, p] | uv[:, p]),
+                                               "minimal"),
+                           _corollary_instance(u, v, x_full, "full")):
+                report.instances_tested += 1
+                if not record["corrected_holds"]:
+                    report.failures.append({"kind": "corrected-bound-violated", **record})
+                if not record["stated_holds"]:
+                    stated.append({"kind": "stated-bound-counterexample", **record})
     stated.sort(key=lambda r: (r["X_size"], r["U_size"], r["V_size"],
                                r["X"], r["U"], r["V"]))
     report.flagged.extend(stated)
@@ -332,31 +361,43 @@ def sweep_corollary(group: GroupTable, *, order_cap: int = DEFAULT_EXHAUSTIVE_PA
 # Subgroup-invariant subset bound
 
 
-def _olson_orbits(group: GroupTable, subgroups) -> list:
-    """(H, side, orbit masks) for each subgroup H, left (orbits Ht) before
-    right (orbits tH): the order in which witnesses are searched."""
-    table, elements = group.table, group.elements()
-    out = []
-    for H in subgroups:
-        h_els = H.elements
-        out.append((h_els, "left", {sum(1 << table[h][t] for h in h_els) for t in elements}))
-        out.append((h_els, "right", {sum(1 << table[t][h] for h in h_els) for t in elements}))
-    return out
+def _orbit_table(group: GroupTable, subgroups) -> tuple:
+    """The witness searches in order, each subgroup H with its left orbits Ht
+    before its right orbits tH.  Returns (searches, indicator, edges):
+    ``searches[s]`` is (H's elements, side); ``indicator`` has one 0/1 row
+    per orbit over the elements, and the rows of search s run from
+    ``edges[s]`` to ``edges[s + 1]``.  Each element is labelled by the least
+    element of its orbit, so an orbit is named by the one element that is
+    its own label."""
+    n, arr = group.n, group.array
+    member = np.zeros((len(subgroups), n, 1), bool)
+    for i, H in enumerate(subgroups):
+        member[i, list(H.elements)] = True
+    # labels[s, c] is the least h*c (left) or c*h (right) over h in H; n - 1
+    # stands in for h outside H, as no label exceeds it.
+    labels = np.stack([np.where(member, arr, n - 1).min(axis=1),
+                       np.where(member, arr.T, n - 1).min(axis=1)], axis=1).reshape(-1, n)
+    search, root = np.nonzero(labels == np.arange(n))
+    # float32, so that the product with AB runs on BLAS; it counts at most n
+    # elements per orbit, well inside the integers float32 holds exactly.
+    indicator = (labels[search] == root[:, None]).astype(np.float32)
+    searches = [(H.elements, side) for H in subgroups for side in ("left", "right")]
+    return searches, indicator, np.searchsorted(search, np.arange(len(searches) + 1))
 
 
-def _olson_witness(rows, orbits, a_els, b_els):
-    """The first (H, side, T) with T a nonempty H-invariant subset of AB and
-    |T| >= |A| + |B| - |H|, or None; complete because every admissible T is
-    a union of orbits, so the union of all orbits inside AB is tested for
-    each H and side.  The orbits of one side are disjoint: their sum is their
-    union."""
-    ab = _products(rows, a_els, b_els)[0]
-    need = len(a_els) + len(b_els)
-    for h_els, side, orbit_masks in orbits:
-        chosen = sum(orbit for orbit in orbit_masks if orbit & ab == orbit)
-        if chosen and chosen.bit_count() >= need - len(h_els):
-            return h_els, side, chosen
-    return None
+def _olson_block(table: tuple, A, B, ab) -> tuple:
+    """(found, inside) for a block of pairs with product sets ``ab``:
+    ``found[s, p]`` says search s yields a witness for pair p, and
+    ``inside[r, p]`` that orbit r lies in AB.  The largest H-invariant T
+    inside AB is the union of the orbits inside it, so this is complete.
+    Every orbit of a search has |H| elements."""
+    _, indicator, edges = table
+    orbit_size = indicator.sum(axis=1, keepdims=True)
+    inside = indicator @ ab.astype(np.float32) == orbit_size
+    t_size = np.add.reduceat(inside * orbit_size, edges[:-1], axis=0)
+    h_size = orbit_size[edges[:-1]]
+    need = A.sum(axis=0) + B.sum(axis=0)
+    return (t_size > 0) & (t_size >= need - h_size), inside
 
 
 def check_olson(A: GroupSubset, B: GroupSubset, *,
@@ -369,45 +410,45 @@ def check_olson(A: GroupSubset, B: GroupSubset, *,
         raise ValueError("the invariant-subset bound is checked on finite groups only")
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
-    orbits = _olson_orbits(g, enumerate_subgroups(g, subgroup_cap))
+    table = _orbit_table(g, enumerate_subgroups(g, subgroup_cap))
+    a_col, b_col = _column(g, A.elements), _column(g, B.elements)
+    found, inside = _olson_block(table, a_col, b_col,
+                                 _product_counts(g, a_col, b_col, A.elements) > 0)
     report = CheckReport("olson")
     report.instances_tested = 1
-    witness = _olson_witness(_bit_rows(g, A.elements), orbits, A.elements, B.elements)
-    if witness is None:
+    if not found.any():
         report.failures.append({"kind": "no-witness", "A": _els(A), "B": _els(B)})
     else:
-        h_els, side, chosen = witness
+        searches, indicator, edges = table
+        s = int(found[:, 0].argmax())
+        rows = slice(edges[s], edges[s + 1])
+        t_els = _members(indicator[rows][inside[rows, 0]].any(axis=0))
+        h_els, side = searches[s]
         report.flagged.append({
             "kind": "olson-witness",
-            "H": _els(h_els), "T": _bits(chosen),
+            "H": _els(h_els), "T": t_els,
             "side": side,
-            "T_size": chosen.bit_count(),
+            "T_size": len(t_els),
             "bound": len(A) + len(B) - len(h_els),
         })
     return report.finish(t0)
-
-
-def _olson_instance(rows, orbits, masks):
-    a_els, b_els = _bits(masks[0]), _bits(masks[1])
-    if _olson_witness(rows, orbits, a_els, b_els) is None:
-        return {"kind": "no-witness", "A": a_els, "B": b_els}
-    return None
 
 
 def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
                 samples: int = DEFAULT_SAMPLES, seed: int = 0,
                 subgroup_cap: int = DEFAULT_SUBGROUP_CAP, jobs: int = 1) -> CheckReport:
     """Witness search over all nonempty pairs (exhaustive up to the cap,
-    seeded samples above it)."""
+    seeded samples above it).  ``jobs`` is accepted and ignored."""
     t0 = perf_counter()
-    orbits = _olson_orbits(group, enumerate_subgroups(group, subgroup_cap))
-    instances, used_seed = _mask_pairs(group.n, exhaustive_cap, samples, seed)
+    table = _orbit_table(group, enumerate_subgroups(group, subgroup_cap))
+    blocks, used_seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
     report = CheckReport("olson", seed=used_seed)
-    for outcome in _map_ordered(partial(_olson_instance, _bit_rows(group), orbits),
-                                instances, jobs):
-        report.instances_tested += 1
-        if outcome is not None:
-            report.failures.append(outcome)
+    for A, B in blocks:
+        found = _olson_block(table, A, B, _product_counts(group, A, B) > 0)[0]
+        report.instances_tested += A.shape[1]
+        report.failures.extend({"kind": "no-witness",
+                                "A": _members(A[:, p]), "B": _members(B[:, p])}
+                               for p in np.flatnonzero(~found.any(axis=0)))
     return report.finish(t0)
 
 
@@ -650,16 +691,19 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset, *, max_size: int = HALL_
     mul, a_set, b_els = g.mul, A.members, B.elements
     cand = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) not in a_set) for s in A]
     stay = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) in a_set) for s in A]
+    # Both forms of S extend those of S minus its lowest member, index i.
+    union, inter = [0] * (1 << len(A)), [(1 << len(B)) - 1] * (1 << len(A))
     hall_ok = True
     for mask in range(1, 1 << len(A)):
-        picked = _bits(mask)
-        union, inter = 0, (1 << len(B)) - 1
-        for i in picked:
-            union, inter = union | cand[i], inter & stay[i]
-        union_ok = union.bit_count() >= len(picked)
-        inter_ok = inter.bit_count() <= len(A) - len(picked)
+        low = mask & -mask
+        i = low.bit_length() - 1
+        union[mask] = union[mask ^ low] | cand[i]
+        inter[mask] = inter[mask ^ low] & stay[i]
+        size = mask.bit_count()
+        union_ok = union[mask].bit_count() >= size
+        inter_ok = inter[mask].bit_count() <= len(A) - size
         if union_ok != inter_ok:
-            s_els = [A.elements[i] for i in picked]
+            s_els = [A.elements[i] for i in _bits(mask)]
             raise CrossValidationError(
                 f"Hall forms disagree on S = {s_els}: union {union_ok}, complement {inter_ok}")
         hall_ok = hall_ok and union_ok

@@ -148,10 +148,11 @@ class TestVerifyCommand:
         assert [c["check"] for c in doc["checks"]] == ["kemperman", "matching-property", "hall"]
 
     # Digests of reports recorded before the checks shared their instance
-    # generators and corollary moved to the bitmask kernel (C6, Q8), and
-    # before automatching and matching-property left GroupSubset and
-    # find_matching (D6 has violator records; C14 has 13x13 pairs, which
-    # find_matching gathers from the numpy table).
+    # generators and corollary moved to the bitmask kernel (C6, Q8), before
+    # automatching and matching-property left GroupSubset and find_matching
+    # (D6 has violator records; C14 has 13x13 pairs, which find_matching
+    # gathers from the numpy table), and before the product-set sweeps ran
+    # as array blocks (C14 and D5 sample their pairs above the exhaustive cap).
     @pytest.mark.parametrize("spec,checks,digest", [
         ("C6", "all", "d2376408514ef41f459d475c4db3f6cc4771b09d285692ca0986f040c815dcd6"),
         ("Q8", "kemperman,olson,automatching,matching-property,hall",
@@ -160,6 +161,10 @@ class TestVerifyCommand:
          "ea3a40b03ede82682cba70062d6c11d9bd539cf56e73e1b50e1dc709a08fec68"),
         ("C14", "automatching,matching-property,hall",
          "beb81da279ce7aa37cebcd62efc5728e2f5b2d3ad75aeb874529d3d647be1dc4"),
+        ("C14", "kemperman,olson",
+         "26bee95500f87ac794407282346e553522cc9512ee68448f23881e50f6d89715"),
+        ("D5", "kemperman,olson",
+         "889c227cf7aa363ba89d2a55f26d13cbf70c97181cb25a41cf31ea549e8b0799"),
     ])
     def test_machine_report_digest_is_pinned(self, capsys, spec, checks, digest):
         code, out = run(capsys, "verify", spec, "--checks", checks, "--seed", "7",

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from groupmatch import (
@@ -41,8 +42,8 @@ from groupmatch import (
 )
 from groupmatch.matching import TABLE_ROWS_MIN_CELLS
 from groupmatch.reports import elements_json
-from groupmatch.theorems import (_automatching_instance, _back_rows, _bit_rows, _bits,
-                                 _mask_result, _products, _property_instance)
+from groupmatch.theorems import (_automatching_instance, _back_rows, _bits, _column, _mask_result,
+                                 _product_counts, _property_instance)
 
 
 def subset(group, els):
@@ -136,10 +137,24 @@ class TestProductKernel:
         else:
             instances = [(subset(g, a), subset(g, b)) for a, b in pairs]
         for A, B in instances:
-            # Only the rows of A are built, as the single-pair checks do.
-            ab, repeated = _products(_bit_rows(g, A.elements), A.elements, B.elements)
-            assert _bits(ab) == list(product_set(A, B).elements)
-            assert _bits(ab & ~repeated) == [w.value for w in unique_products(A, B)]
+            # Only the steps for a in A are taken, as the single-pair checks do.
+            count = _product_counts(g, _column(g, A.elements), _column(g, B.elements),
+                                    A.elements)[:, 0]
+            assert np.flatnonzero(count).tolist() == list(product_set(A, B).elements)
+            assert (np.flatnonzero(count == 1).tolist()
+                    == [w.value for w in unique_products(A, B)])
+
+    @pytest.mark.parametrize("spec,pairs,seed", [("D3", None, None), ("D5", 400, 3),
+                                                 ("C14", 400, 8)])
+    def test_sweep_skips_pairs_without_unique_products(self, spec, pairs, seed):
+        g = parse_group_spec(spec)
+        if pairs is None:
+            r, instances = sweep_kemperman(g), all_pairs(g)
+        else:
+            r = sweep_kemperman(g, samples=pairs, seed=seed)
+            instances = seeded_pairs(g, pairs, seed)
+        bare = sum(not unique_products(A, B) for A, B in instances)
+        assert r.status == "pass" and r.instances_skipped == bare > 0
 
     @pytest.mark.parametrize("spec", ["C8", "C2xC4", "C2xC2xC2", "D4", "Q8"])
     def test_order_8_exhaustive(self, spec):
