@@ -202,7 +202,7 @@ def _sized_pairs(n: int, max_k: int, samples: int, seed: int) -> list:
 def _map_ordered(fn, items: list, jobs: int) -> list:
     """Apply fn to items, optionally on a process pool, preserving order."""
     if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing only here
         chunk = max(1, len(items) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items, chunksize=chunk))
