@@ -70,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of %s or 'all'" % ",".join(CHECKS))
     p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the automatching, matching-property and hall "
-                        "sweeps; the product-set sweeps ignore it")
+                   help="only 1 is accepted: every check runs in one process")
     p.add_argument("--cap-order", type=int, default=None,
                    help="override the group-order cap of %s; an error for any other check"
                    % ", ".join(CAPPED_CHECKS))
@@ -144,11 +143,9 @@ def _cmd_match(args) -> int:
     return 0 if matched else 1
 
 
-def _run_check(name: str, group: GroupTable, seed: int, jobs: int, cap: int | None):
+def _run_check(name: str, group: GroupTable, seed: int, cap: int | None):
     function, cap_keyword, seeded = CHECKS[name]
-    kwargs = {"jobs": jobs}
-    if seeded:
-        kwargs["seed"] = seed
+    kwargs = {"seed": seed} if seeded else {}
     if cap is not None:
         kwargs[cap_keyword] = cap
     # Resolved at call time, so a wrapper swapped into this module is the one called.
@@ -156,8 +153,9 @@ def _run_check(name: str, group: GroupTable, seed: int, jobs: int, cap: int | No
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs != 1:
+        raise ValueError(f"--jobs must be 1, got {args.jobs}: the process pool was removed "
+                         "and every check runs in one process")
     group = _resolve_group(args.group)
     if not isinstance(group, GroupTable):
         raise ValueError("verify runs on finite groups; use the lattice command for Z^d")
@@ -165,6 +163,8 @@ def _cmd_verify(args) -> int:
         selected = tuple(CHECKS)
     else:
         tokens = [t.strip() for t in args.checks.split(",") if t.strip()]
+        if not tokens:
+            raise ValueError(f"--checks names no check: {args.checks!r}")
         unknown = [t for t in tokens if t not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for name in selected:
         try:
-            reports.append(_run_check(name, group, args.seed, args.jobs, args.cap_order))
+            reports.append(_run_check(name, group, args.seed, args.cap_order))
         except SizeLimit as exc:
             raise SizeLimit(f"check {name}: {exc.what}", exc.size, exc.cap) from exc
     all_passed = all(r.passed for r in reports)

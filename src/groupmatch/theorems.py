@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -188,25 +187,13 @@ def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray, left=None) 
     return count
 
 
-def _sized_pairs(n: int, max_k: int, samples: int, seed: int) -> list:
+def _sized_pairs(n: int, max_k: int, samples: int, seed: int):
     """Seeded (a_els, b_els) pairs, |A| = |B| <= max_k, the identity out of B."""
     rng = random.Random(seed)
-    pairs = []
     for _ in range(samples):
         k = rng.randint(1, max_k)
-        pairs.append((tuple(sorted(rng.sample(range(n), k))),
-                      tuple(sorted(rng.sample(range(1, n), k)))))
-    return pairs
-
-
-def _map_ordered(fn, items: list, jobs: int) -> list:
-    """Apply fn to items, optionally on a process pool, preserving order."""
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing only here
-        chunk = max(1, len(items) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items, chunksize=chunk))
-    return [fn(x) for x in items]
+        yield (tuple(sorted(rng.sample(range(n), k))),
+               tuple(sorted(rng.sample(range(1, n), k))))
 
 
 def _members(column) -> list:
@@ -256,11 +243,9 @@ def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
 
 
 def sweep_kemperman(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
-                    samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                    jobs: int = 1) -> CheckReport:
+                    samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
     """Run the product-set bound over all nonempty pairs (A, B), or a
-    seeded sample of pairs when the group is over the exhaustive cap.
-    ``jobs`` is accepted and ignored: the pairs run as whole-array blocks."""
+    seeded sample of pairs when the group is over the exhaustive cap."""
     t0 = perf_counter()
     blocks, used_seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
     report = CheckReport("kemperman", seed=used_seed)
@@ -316,15 +301,15 @@ def check_corollary(U: GroupSubset, V: GroupSubset, X: GroupSubset) -> CheckRepo
     return report.finish(t0)
 
 
-def sweep_corollary(group: GroupTable, *, order_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
-                    jobs: int = 1) -> CheckReport:
+def sweep_corollary(group: GroupTable, *,
+                    order_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP) -> CheckReport:
     """Exhaust the containment bound over admissible (U, V) pairs.
 
     U and V range over nonempty subsets of the non-identity elements; a
     pair is admissible when UV avoids the identity.  Each admissible pair
     is tested against two X choices: the minimal U ∪ V ∪ UV and the full
     complement of the identity.  Stated-bound counterexamples are sorted
-    smallest-X first.  ``jobs`` is accepted and ignored.
+    smallest-X first.
     """
     t0 = perf_counter()
     n = group.n
@@ -436,9 +421,9 @@ def check_olson(A: GroupSubset, B: GroupSubset, *,
 
 def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
                 samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                subgroup_cap: int = DEFAULT_SUBGROUP_CAP, jobs: int = 1) -> CheckReport:
+                subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> CheckReport:
     """Witness search over all nonempty pairs (exhaustive up to the cap,
-    seeded samples above it).  ``jobs`` is accepted and ignored."""
+    seeded samples above it)."""
     t0 = perf_counter()
     table = _orbit_table(group, enumerate_subgroups(group, subgroup_cap))
     blocks, used_seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
@@ -480,15 +465,20 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     reports the structured identity error and the brute-force oracle finds
     no valid bijection.  Those confirmations are flagged, not counted as
     instances.
+
+    ``jobs`` is accepted and ignored: every instance runs in this process.
+    It is kept only because ``pool_row`` in ``perfbench/run.py`` calls this
+    check with ``jobs=2``, and CI's traced benchmark smoke test runs that
+    row.  It goes when the benchmark definition drops ``pool_row``.
     """
     t0 = perf_counter()
     n = group.n
     if n > order_cap:
         raise SizeLimit("automatching sweep", n, order_cap)
     report = CheckReport("automatching")
-    instances = list(range(1, 1 << (n - 1)))
-    for outcome in _map_ordered(partial(_automatching_instance, group, _back_rows(group)),
-                                instances, jobs):
+    back = _back_rows(group)
+    for mask in range(1, 1 << (n - 1)):
+        outcome = _automatching_instance(group, back, mask)
         report.instances_tested += 1
         if outcome is not None:
             report.failures.append(outcome)
@@ -524,9 +514,8 @@ def _property_instance(group, back, pair):
             "neighborhood": _els(result.neighborhood), "deficiency": result.deficiency}
 
 
-def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES,
-                            seed: int = 0, order_cap: int = DEFAULT_PROPERTY_ORDER_CAP,
-                            jobs: int = 1) -> CheckReport:
+def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                            order_cap: int = DEFAULT_PROPERTY_ORDER_CAP) -> CheckReport:
     """Compare the observed matching property with the classification.
 
     Sweeps all pairs (A, B) with |A| = |B| and identity outside B
@@ -540,12 +529,12 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
         raise SizeLimit("matching-property sweep", n, order_cap)
     predicted = classify(group).predicted_matching_property
     if n <= PROPERTY_EXHAUSTIVE_CAP:
-        instances = [
+        instances = (
             (a_els, b_els)
             for k in range(1, n)
             for a_els in itertools.combinations(range(n), k)
             for b_els in itertools.combinations(range(1, n), k)
-        ]
+        )
         used_seed, mode = None, "exhaustive"
     else:
         instances = _sized_pairs(n, n - 1, samples, seed)
@@ -553,8 +542,9 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
 
     report = CheckReport("matching-property", seed=used_seed)
     failing = []
-    for outcome in _map_ordered(partial(_property_instance, group, _back_rows(group)),
-                                instances, jobs):
+    back = _back_rows(group)
+    for pair in instances:
+        outcome = _property_instance(group, back, pair)
         report.instances_tested += 1
         if outcome is not None:
             failing.append(outcome)
@@ -620,6 +610,8 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     require a matching every time; instances of size <= 6 are additionally
     confirmed against the brute-force bijection oracle."""
     t0 = perf_counter()
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     if max_size > DEFAULT_LATTICE_SIZE_CAP:
         raise SizeLimit("lattice instance size", max_size, DEFAULT_LATTICE_SIZE_CAP)
     group = LatticeGroup(d)
@@ -726,14 +718,14 @@ def _hall_instance(group, pair):
 
 
 def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
-               seed: int = 0, jobs: int = 1) -> CheckReport:
+               seed: int = 0) -> CheckReport:
     """Seeded random instances of the three-way Hall cross-validation."""
     t0 = perf_counter()
     report = CheckReport("hall", seed=seed)
     if group.n < 2:
         return report.finish(t0)
-    instances = _sized_pairs(group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed)
-    for outcome in _map_ordered(partial(_hall_instance, group), instances, jobs):
+    for pair in _sized_pairs(group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed):
+        outcome = _hall_instance(group, pair)
         report.instances_tested += 1
         if outcome is not None:
             report.failures.append(outcome)

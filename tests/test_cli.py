@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,8 +110,8 @@ class TestVerifyCommand:
         assert code == 2
         assert "check matching-property" in out and "cap 3" in out
 
-    @pytest.mark.parametrize("jobs", ["0", "-5"])
-    def test_jobs_below_one_rejected_before_any_check(self, capsys, monkeypatch, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-5", "2"])
+    def test_jobs_other_than_one_rejected_before_any_check(self, capsys, monkeypatch, jobs):
         ran = []
         monkeypatch.setattr(cli, "sweep_kemperman", lambda *args, **kwargs: ran.append(1))
         code, out = run(capsys, "verify", "C4", "--checks", "kemperman", "--jobs", jobs,
@@ -126,7 +130,17 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "sweep_hall", wrapper)
         code, _ = run(capsys, "verify", "C4", "--checks", "hall")
         assert code == 0
-        assert calls == [["jobs", "seed"]]
+        assert calls == [["seed"]]
+
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_empty_checks_rejected_before_any_check(self, capsys, monkeypatch, checks):
+        ran = []
+        for function, _, _ in cli.CHECKS.values():
+            monkeypatch.setattr(cli, function, lambda *args, **kwargs: ran.append(1))
+        code, out = run(capsys, "verify", "C6", f"--checks={checks}", "--format", "machine")
+        assert code == 2
+        assert "--checks" in json.loads(out)["error"]["message"]
+        assert ran == []
 
     def test_unknown_check_rejected(self, capsys):
         code, _ = run(capsys, "verify", "C4", "--checks", "nonsense")
@@ -208,3 +222,18 @@ class TestLatticeCommand:
         _, out1 = run(capsys, *args)
         _, out2 = run(capsys, *args)
         assert out1 == out2
+
+
+def test_process_entry_point():
+    """`python -m groupmatch.cli` exits through entry()'s SystemExit, and
+    loads no process-pool machinery (-X importtime lists every import)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "groupmatch.cli", "verify", "C4",
+         "--checks", "kemperman", "--jobs", "2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "groupmatch.theorems" in imported
+    assert not imported & {"concurrent.futures", "multiprocessing"}
