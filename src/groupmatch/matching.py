@@ -7,7 +7,6 @@ matchability graph; non-existence is certified by a Hall violator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +24,16 @@ BRUTE_FORCE_CAP = 7
 TABLE_ROWS_MIN_CELLS = 169
 
 
+def _bits(mask: int) -> list:
+    """The set bits of mask, ascending: a mask's elements as indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class MatchabilityGraph:
     """Bipartite graph on A and B with an edge (a, b) iff a*b is not in A.
@@ -40,13 +49,7 @@ class MatchabilityGraph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        width = (len(self.right) + 7) // 8
-        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(self.rows), width),
-                             axis=1, bitorder="little")
-        columns = np.nonzero(bits)[1].tolist()
-        ends = list(itertools.accumulate(map(int.bit_count, self.rows)))
-        return tuple(tuple(columns[start:end]) for start, end in zip([0, *ends], ends))
+        return tuple(tuple(_bits(row)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,7 @@ def _extract_violator(group, graph: MatchabilityGraph,
     for u in reach_left:
         new = graph.rows[u] & ~reached
         reached |= new
-        while new:
-            low = new & -new
-            new ^= low
-            v = low.bit_length() - 1
+        for v in _bits(new):
             reach_right.append(v)
             w = match_right[v]
             if w is not None:
@@ -208,6 +208,21 @@ def _graph_result(group, graph: MatchabilityGraph):
     if None in match_left:
         return _extract_violator(group, graph, match_left, match_right)
     return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))
+
+
+def _back_rows(group: GroupTable) -> list:
+    """``back[a][y] == 1 << (a⁻¹*y)``, so summing ``back[a]`` over the y in
+    A gives the mask of the x with a*x in A.  Row a of the argsort of the
+    Cayley table maps y to a⁻¹y, the x with a*x = y."""
+    return [tuple(1 << x for x in row) for row in np.argsort(group.array, axis=1).tolist()]
+
+
+def _mask_result(group: GroupTable, back, a_els, b_mask):
+    """What find_matching(A, B) returns, for A given by its ascending
+    elements and B by its mask.  Row a is B minus {x : a*x in A}, with bit
+    x for element x, so Kuhn's scan follows the ascending order of B."""
+    rows = tuple(b_mask & ~sum(map(back[a].__getitem__, a_els)) for a in a_els)
+    return _graph_result(group, MatchabilityGraph(left=a_els, right=group.elements(), rows=rows))
 
 
 def verify_matching(A: GroupSubset, B: GroupSubset, matching: Matching) -> VerifyResult:

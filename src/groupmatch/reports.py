@@ -29,11 +29,7 @@ def elements_json(x) -> list:
 
 
 def format_elements(group, elements) -> str:
-    return "{" + ", ".join(group.label(_native(e)) for e in elements) + "}"
-
-
-def _native(e):
-    return tuple(e) if isinstance(e, list) else e
+    return "{" + ", ".join(group.label(e) for e in elements) + "}"
 
 
 def _record_line(record: dict) -> str:

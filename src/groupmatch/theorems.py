@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import (HallViolator, MatchabilityGraph, Matching, _graph_result, brute_force_matching,
+from .matching import (HallViolator, Matching, _back_rows, _bits, _mask_result, brute_force_matching,
                        find_matching, verify_matching)
 from .reports import elements_json as _els
 from .subsets import GroupSubset, _same_group, product_set
@@ -100,37 +100,6 @@ class CounterexamplePair:
     generator: object
     outsider: object
     violator: HallViolator
-
-
-def _bits(mask: int) -> list:
-    """The set bits of mask, ascending: a mask's elements as indices."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _bit_rows(group: GroupTable) -> dict:
-    """``rows[a][b] == 1 << (a*b)``: the group law with products as one-bit
-    masks."""
-    return {a: tuple(1 << x for x in group.table[a]) for a in group.elements()}
-
-
-def _back_rows(group: GroupTable) -> list:
-    """``back[a][y] == 1 << (a⁻¹*y)``, so summing ``back[a]`` over the y in
-    A gives the mask of the x with a*x in A."""
-    rows = _bit_rows(group)
-    return [rows[group.inverse(a)] for a in group.elements()]
-
-
-def _mask_result(group, back, a_els, b_mask):
-    """What find_matching(A, B) returns, for A given by its ascending
-    elements and B by its mask.  Row a is B minus {x : a*x in A}, with bit
-    x for element x, so Kuhn's scan follows the ascending order of B."""
-    rows = tuple(b_mask & ~sum(map(back[a].__getitem__, a_els)) for a in a_els)
-    return _graph_result(group, MatchabilityGraph(left=a_els, right=group.elements(), rows=rows))
 
 
 def _columns(masks, n: int) -> np.ndarray:
@@ -610,10 +579,14 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     require a matching every time; instances of size <= 6 are additionally
     confirmed against the brute-force bijection oracle."""
     t0 = perf_counter()
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     if max_size > DEFAULT_LATTICE_SIZE_CAP:
         raise SizeLimit("lattice instance size", max_size, DEFAULT_LATTICE_SIZE_CAP)
+    if coordinate_bound < 0:
+        raise ValueError(f"coordinate_bound must be at least 0, got {coordinate_bound}")
     group = LatticeGroup(d)
     if (2 * coordinate_bound + 1) ** d <= max_size:
         raise ValueError("coordinate_bound too small for the requested subset size")

@@ -217,6 +217,18 @@ class TestLatticeCommand:
         assert code == 2
         assert "SKIPPED" in out
 
+    def test_negative_trials_is_input_error(self, capsys):
+        code, out = run(capsys, "lattice", "-d", "1", "-t", "-5")
+        assert code == 2
+        assert "trials" in out and "SKIPPED" not in out
+
+    @pytest.mark.parametrize("d", ["1", "2"])
+    def test_negative_bound_is_input_error(self, capsys, d):
+        code, out = run(capsys, "lattice", "-d", d, "--bound", "-3")
+        assert code == 2
+        assert "coordinate_bound" in out
+        assert "randrange" not in out and "too small" not in out
+
     def test_machine_determinism(self, capsys):
         args = ("lattice", "-d", "2", "-t", "40", "--seed", "3", "--format", "machine")
         _, out1 = run(capsys, *args)

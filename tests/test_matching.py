@@ -261,7 +261,11 @@ class TestEngineAtScale:
             assert isinstance(r, Matching) == (nu == len(A))
             if isinstance(r, HallViolator):
                 assert r.deficiency == len(A) - nu
-                assert len(nx.bipartite.to_vertex_cover(G, M, top_nodes=top)) == nu
+                # König: (A \ S) u N(S) is a vertex cover of G with nu vertices.
+                cover = ({("a", i) for i, a in enumerate(A.elements) if a not in r.subset}
+                         | {("b", j) for j, b in enumerate(B.elements) if b in r.neighborhood})
+                assert len(cover) == nu
+                assert all(u in cover or v in cover for u, v in G.edges)
             outcomes.add(type(r))
         assert outcomes == {Matching, HallViolator}
 

@@ -41,10 +41,9 @@ from groupmatch import (
     verify_matching,
 )
 from groupmatch.cli import main
-from groupmatch.matching import TABLE_ROWS_MIN_CELLS
+from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _back_rows, _bits, _mask_result
 from groupmatch.reports import elements_json
-from groupmatch.theorems import (_automatching_instance, _back_rows, _bits, _column, _mask_result,
-                                 _product_counts, _property_instance)
+from groupmatch.theorems import _automatching_instance, _column, _product_counts, _property_instance
 
 
 def subset(group, els):
@@ -476,6 +475,15 @@ class TestLatticeMatching:
         assert main(["lattice", "--max-size", max_size]) == 2
         out = capsys.readouterr().out
         assert "max_size" in out and "randrange" not in out
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            check_lattice_matching(1, -5)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_negative_coordinate_bound_rejected(self, d):
+        with pytest.raises(ValueError, match="coordinate_bound must be at least 0"):
+            check_lattice_matching(d, 10, coordinate_bound=-3)
 
     def test_seed_determinism(self):
         a = check_lattice_matching(2, 50, seed=3).to_dict()
