@@ -8,6 +8,7 @@ not applicable (trivial or prime-order group).
 from __future__ import annotations
 
 import argparse
+import functools
 from pathlib import Path
 
 from .errors import GroupMatchError, NotApplicable, ParseError, SizeLimit
@@ -48,6 +49,7 @@ CHECKS = {
 CAPPED_CHECKS = tuple(name for name, (_, cap_keyword, _) in CHECKS.items() if cap_keyword)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupmatch",

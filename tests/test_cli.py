@@ -187,6 +187,42 @@ class TestVerifyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestParserReuse:
+    """main builds its parser once per process; a call must not see what an
+    earlier call parsed.  Each call is compared with one made on a freshly
+    built parser, as a new process would make it."""
+
+    CALLS = [
+        ("verify", "C6", "--checks", "automatching", "--cap-order", "6", "--format", "machine"),
+        ("verify", "C4", "--checks", "kemperman", "--format", "machine"),
+        ("lattice", "-d", "1", "-t", "20", "--format", "machine"),
+        ("lattice", "-d", "1", "--trials", "many"),
+        ("counterexample", "C6"),
+        ("verify", "C4", "--checks", "kemperman,olson", "--seed", "3", "--format", "machine"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_successive_calls_equal_fresh_parser_calls(self, capsys):
+        cli.build_parser.cache_clear()
+        reused = [self.outcome(capsys, argv) for argv in self.CALLS]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0]
+        assert "invalid int value: 'many'" in reused[3][2]
+
+
 class TestCounterexampleCommand:
     def test_c6(self, capsys):
         code, out = run(capsys, "counterexample", "C6")

@@ -43,7 +43,8 @@ from groupmatch import (
 from groupmatch.cli import main
 from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _back_rows, _bits, _mask_result
 from groupmatch.reports import elements_json
-from groupmatch.theorems import _automatching_instance, _column, _product_counts, _property_instance
+from groupmatch.theorems import (PAIR_BLOCK, _automatching_instance, _column, _columns,
+                                 _product_counts, _property_instance, _sampled_pairs)
 
 
 def subset(group, els):
@@ -121,6 +122,28 @@ def seeded_pairs(group, count, seed):
     for _ in range(count):
         yield (subset(group, _bits(rng.randrange(1, 1 << group.n))),
                subset(group, _bits(rng.randrange(1, 1 << group.n))))
+
+
+class TestSampledPairs:
+    """The bulk sampler reads the same Mersenne Twister words as per-draw
+    ``randrange(1, 1 << n)`` calls, A then B, and leaves the generator in the
+    same state.  n <= 3 often draws 2**n - 1 and redraws; the counts around
+    PAIR_BLOCK cross a block edge; n = 31..33 and 64, 65 cross word edges."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 24, 31, 32, 33, 64, 65])
+    def test_blocks_and_state_equal_per_draw_loop(self, n):
+        for seed in (0, 7):
+            for samples in (1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2000):
+                bulk, loop = random.Random(seed), random.Random(seed)
+                got = list(_sampled_pairs(n, samples, bulk))
+                sizes = [min(PAIR_BLOCK, samples - lo) for lo in range(0, samples, PAIR_BLOCK)]
+                assert [A.shape for A, _ in got] == [(n, size) for size in sizes]
+                for (A, B), size in zip(got, sizes):
+                    a_masks, b_masks = zip(*[(loop.randrange(1, 1 << n), loop.randrange(1, 1 << n))
+                                             for _ in range(size)])
+                    assert np.array_equal(A, _columns(a_masks, n))
+                    assert np.array_equal(B, _columns(b_masks, n))
+                assert bulk.getstate() == loop.getstate()
 
 
 class TestProductKernel:
@@ -401,6 +424,18 @@ class TestMatchingProperty:
     def test_order_cap_applies_below_the_exhaustive_cap(self):
         with pytest.raises(SizeLimit):
             check_matching_property(make_cyclic(6), order_cap=3)
+
+    def test_zero_samples_is_skipped_not_a_mismatch(self):
+        r = check_matching_property(make_cyclic(8), samples=0)
+        assert r.status == "skipped" and r.instances_tested == 0 and not r.failures
+
+
+@pytest.mark.parametrize("sweep", [sweep_kemperman, sweep_olson, check_matching_property,
+                                   sweep_hall])
+@pytest.mark.parametrize("spec", ["C4", "C8"])
+def test_negative_samples_rejected(sweep, spec):
+    with pytest.raises(ValueError, match="samples"):
+        sweep(parse_group_spec(spec), samples=-3)
 
 
 class TestCounterexample:
