@@ -44,16 +44,7 @@ from .matching import (
     find_matching,
     verify_matching,
 )
-from .subsets import (
-    GroupSubset,
-    ProductWitness,
-    candidate_set,
-    factorization_table,
-    parse_subset_literal,
-    product_set,
-    stable_set,
-    unique_products,
-)
+from .subsets import GroupSubset, parse_subset_literal
 from .theorems import (
     CheckReport,
     CounterexamplePair,

@@ -483,6 +483,8 @@ def loads_group(text: str, name: str | None = None) -> GroupTable:
     n = int(fields[1])
     if n < 1:
         raise ParseError("group order must be >= 1", line=no)
+    if n > DEFAULT_ORDER_CAP:
+        raise SizeLimit("group file", n, DEFAULT_ORDER_CAP)
 
     no, ln = next_line("'table'")
     if ln != "table":
@@ -514,10 +516,19 @@ def loads_group(text: str, name: str | None = None) -> GroupTable:
 
 
 def dumps_group(group: GroupTable) -> str:
-    """Serialize a group to the Cayley-table text format."""
+    """Serialize a group to the Cayley-table text format.
+
+    Raises ValueError for a name that would not load back as itself: one
+    that is empty, padded with whitespace, starts with ``#`` or spans lines.
+    """
     out = [f"n {group.n}", "table"]
     out.extend(" ".join(str(x) for x in row) for row in group.table)
     if group.names:
+        for i, name in enumerate(group.names):
+            if name.splitlines() != [name] or name != name.strip() or name.startswith("#"):
+                raise ValueError(f"name of element {i}, {name!r}, cannot be written to a group "
+                                 "file: names must be one nonempty line without surrounding "
+                                 "whitespace or a leading '#'")
         out.append("names")
         out.extend(group.names)
     return "\n".join(out) + "\n"

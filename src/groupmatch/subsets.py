@@ -1,12 +1,17 @@
-"""Finite subsets of a group and the product-set algebra on them.
+"""Finite subsets of a group, their literal syntax, and reference
+implementations of the product-set algebra.
 
 Subsets are immutable and iterate in ascending element order (integer
 indices for finite groups, lexicographic coordinate tuples for lattice
-groups), so every derived report is deterministic.
+groups), so every derived report is deterministic.  The sweeps compute
+products with the mask kernels in ``theorems`` and ``matching``;
+``product_set``, ``unique_products``, ``candidate_set`` and ``stable_set``
+are kept as the tests' independent references and for perfbench's tracer.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import EmptyInput, MixedGroups, NotInA, ParseError
@@ -49,18 +54,6 @@ class GroupSubset:
         inner = ", ".join(str(x) for x in self.elements)
         return f"GroupSubset({self.group.describe()}, {{{inner}}})"
 
-    def union(self, other: GroupSubset) -> GroupSubset:
-        _same_group(self, other)
-        return GroupSubset(self.group, self.members | other.members)
-
-    def difference(self, other: GroupSubset) -> GroupSubset:
-        _same_group(self, other)
-        return GroupSubset(self.group, self.members - other.members)
-
-    def intersection(self, other: GroupSubset) -> GroupSubset:
-        _same_group(self, other)
-        return GroupSubset(self.group, self.members & other.members)
-
     def issubset(self, other: GroupSubset) -> bool:
         _same_group(self, other)
         return self.members <= other.members
@@ -82,33 +75,23 @@ def _same_group(*subsets: GroupSubset):
     return group
 
 
+# perfbench/tracer.py wraps these four functions by name, so they stay here
+# until the benchmark's per-layer metrics drop them.
 def product_set(A: GroupSubset, B: GroupSubset) -> GroupSubset:
     """The set {a*b : a in A, b in B}; empty iff A or B is empty."""
     g = _same_group(A, B)
     return GroupSubset(g, {g.mul(a, b) for a in A for b in B})
 
 
-def factorization_table(A: GroupSubset, B: GroupSubset) -> dict:
-    """Map each c in AB to the sorted list of pairs (a, b) with a*b = c."""
+def unique_products(A: GroupSubset, B: GroupSubset) -> list[ProductWitness]:
+    """All c in AB with exactly one factorization c = a*b, ascending by c."""
     g = _same_group(A, B)
     table: dict = {}
     for a in A:
         for b in B:
             table.setdefault(g.mul(a, b), []).append((a, b))
-    for pairs in table.values():
-        pairs.sort()
-    return table
-
-def unique_products(A: GroupSubset, B: GroupSubset) -> list[ProductWitness]:
-    """All c in AB with exactly one factorization c = a*b, ascending by c."""
-    table = factorization_table(A, B)
-    found = [
-        ProductWitness(c, (pairs[0],))
-        for c, pairs in table.items()
-        if len(pairs) == 1
-    ]
-    found.sort(key=lambda w: w.value)
-    return found
+    return [ProductWitness(c, tuple(pairs)) for c, pairs in sorted(table.items())
+            if len(pairs) == 1]
 
 
 def candidate_set(A: GroupSubset, B: GroupSubset, a) -> GroupSubset:
@@ -137,6 +120,9 @@ def stable_set(A: GroupSubset, B: GroupSubset, S: GroupSubset) -> GroupSubset:
     return GroupSubset(g, {x for x in B if all(g.mul(s, x) in A for s in S)})
 
 
+_TOKEN = re.compile(r"\s*(-?\d+|\S)")
+
+
 def parse_subset_literal(text: str, group) -> GroupSubset:
     """Parse a subset literal such as ``{0,2,4}`` or ``{(0,0),(1,2)}``.
 
@@ -146,81 +132,46 @@ def parse_subset_literal(text: str, group) -> GroupSubset:
     errors; invalid members surface as ValueError from the subset
     constructor.
     """
-    scanner = _Scanner(text)
-    scanner.expect("{")
+    # Tokens are optionally signed integers and single non-space
+    # characters, each with its column; "" at len(text) + 1 ends the input.
+    tokens = iter([(m[1], m.start(1) + 1) for m in _TOKEN.finditer(text)]
+                  + [("", len(text) + 1)])
+
+    def integer(tok, col):
+        if not tok[-1:].isdecimal():
+            raise ParseError("expected an integer", column=col)
+        return int(tok)
+
+    def closes(closer):
+        """Take the separator after a member: False for ',', True for closer."""
+        tok, col = next(tokens)
+        if not tok:
+            raise ParseError("unexpected end of input", column=col)
+        if tok not in (",", closer):
+            raise ParseError(f"expected ',' or {closer!r}, got {tok[0]!r}", column=col)
+        return tok == closer
+
+    def value(tok, col):
+        if tok != "(":
+            return integer(tok, col)
+        coords = [integer(*next(tokens))]
+        while not closes(")"):
+            coords.append(integer(*next(tokens)))
+        return tuple(coords)
+
+    tok, col = next(tokens)
+    if tok != "{":
+        raise ParseError(f"expected '{{', got {tok[0]!r}" if tok else "unexpected end of input",
+                         column=col)
     members = []
-    scanner.skip_ws()
-    if scanner.peek() == "}":
-        scanner.take()
-    else:
-        while True:
-            members.append(scanner.value())
-            scanner.skip_ws()
-            ch = scanner.take()
-            if ch == "}":
-                break
-            if ch != ",":
-                raise ParseError(f"expected ',' or '}}', got {ch!r}", column=scanner.pos)
-    scanner.skip_ws()
-    if not scanner.at_end():
-        raise ParseError("trailing characters after subset literal", column=scanner.pos + 1)
+    tok, col = next(tokens)
+    if tok != "}":
+        members.append(value(tok, col))
+        while not closes("}"):
+            members.append(value(*next(tokens)))
+    tok, col = next(tokens)
+    if tok:
+        raise ParseError("trailing characters after subset literal", column=col)
     if members and isinstance(members[0], int) and getattr(group, "d", None) == 1:
         members = [(x,) for x in members]
     return GroupSubset(group, members)
-
-
-class _Scanner:
-    """Tiny cursor over a one-line literal, tracking a 1-based column."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        if self.at_end():
-            raise ParseError("unexpected end of input", column=self.pos + 1)
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
-
-    def skip_ws(self):
-        while not self.at_end() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        got = self.take()
-        if got != ch:
-            raise ParseError(f"expected {ch!r}, got {got!r}", column=self.pos)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while not self.at_end() and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise ParseError("expected an integer", column=start + 1)
-        return int(self.text[start:self.pos])
-
-    def value(self):
-        self.skip_ws()
-        if self.peek() == "(":
-            self.take()
-            coords = [self.integer()]
-            while True:
-                self.skip_ws()
-                ch = self.take()
-                if ch == ")":
-                    return tuple(coords)
-                if ch != ",":
-                    raise ParseError(f"expected ',' or ')', got {ch!r}", column=self.pos)
-                coords.append(self.integer())
-        return self.integer()

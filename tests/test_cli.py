@@ -63,6 +63,13 @@ class TestMatchCommand:
         assert code == 0
         assert "i" in out   # display uses the file's element names
 
+    def test_table_file_over_order_cap_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "big.table"
+        path.write_text("n 5041\n", encoding="utf-8")
+        code, out = run(capsys, "match", str(path), "{0}", "{1}")
+        assert code == 2
+        assert "exceeds cap 5040" in out
+
 
 class TestVerifyCommand:
     def test_all_checks_pass_on_c5(self, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupmatch import (
     GroupSubset,
@@ -282,6 +284,31 @@ class TestFileFormat:
         q8 = make_quaternion()
         again = loads_group(dumps_group(q8))
         assert again.names == ("1", "i", "j", "k", "-1", "-i", "-j", "-k")
+
+    @pytest.mark.parametrize("bad", ["", " b ", " a", "a\t", "#a", "a\nb", "a\n", "a\x1cb"],
+                             ids=["empty", "padded", "leading-space", "trailing-tab", "hash",
+                                  "two-lines", "trailing-newline", "file-separator"])
+    def test_unwritable_names_rejected(self, bad):
+        with pytest.raises(ValueError, match="element 1"):
+            dumps_group(GroupTable([[0, 1], [1, 0]], names=["e", bad]))
+
+    @given(st.text(" \t\n\r\x1c\u2028#ab-1", max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_written_names_load_back_unchanged(self, name):
+        g = GroupTable([[0, 1], [1, 0]], names=["e", name])
+        writable = name.splitlines() == [name] and name == name.strip() and name[:1] != "#"
+        if not writable:
+            with pytest.raises(ValueError):
+                dumps_group(g)
+            return
+        assert loads_group(dumps_group(g)).names == ("e", name)
+
+    def test_order_cap_checked_before_rows(self):
+        with pytest.raises(SizeLimit) as info:
+            loads_group("n 5041\n")
+        assert (info.value.size, info.value.cap) == (5041, 5040)
+        with pytest.raises(ParseError, match="expected 'table'"):
+            loads_group("n 5040\n")
 
 
 def test_subset_validation_uses_group():

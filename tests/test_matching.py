@@ -17,7 +17,6 @@ from groupmatch import (
     SizeMismatch,
     brute_force_matching,
     build_graph,
-    candidate_set,
     find_matching,
     make_cyclic,
     make_dihedral,
@@ -26,6 +25,7 @@ from groupmatch import (
 )
 from groupmatch import matching
 from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _maximum_matching
+from groupmatch.subsets import candidate_set
 
 SMALL_GROUPS = [make_cyclic(4), make_cyclic(5), make_cyclic(6), make_dihedral(3), make_quaternion()]
 

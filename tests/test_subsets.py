@@ -11,15 +11,13 @@ from groupmatch import (
     MixedGroups,
     NotInA,
     ParseError,
-    candidate_set,
     make_cyclic,
     make_dihedral,
     make_quaternion,
     parse_subset_literal,
-    product_set,
-    stable_set,
-    unique_products,
 )
+from groupmatch.cli import main
+from groupmatch.subsets import candidate_set, product_set, stable_set, unique_products
 
 SMALL_GROUPS = [make_cyclic(4), make_cyclic(6), make_dihedral(3), make_quaternion()]
 
@@ -168,11 +166,64 @@ class TestStableSet:
         s_els = rng.sample(A.elements, rng.randint(1, len(A)))
         S = GroupSubset(g, s_els)
         V = stable_set(A, B, S)
-        union = GroupSubset(g)
+        union = set()
         for s in S:
-            union = union.union(candidate_set(A, B, s))
-        assert V == B.difference(union)
+            union |= candidate_set(A, B, s).members
+        assert V == GroupSubset(g, B.members - union)
         assert product_set(S, V).issubset(A) or len(V) == 0
+
+
+# (literal, message, column) for malformed literals, recorded from the
+# character-scanner parser this tokenizer replaced.
+LITERAL_ERRORS = [
+    ("0,2", "expected '{', got '0'", 1),
+    ("-3{", "expected '{', got '-'", 1),
+    ("", "unexpected end of input", 1),
+    ("   ", "unexpected end of input", 4),
+    ("{", "expected an integer", 2),
+    ("{0,}", "expected an integer", 4),
+    ("{0 2}", "expected ',' or '}', got '2'", 4),
+    ("{1 23}", "expected ',' or '}', got '2'", 4),
+    ("{1-3}", "expected ',' or '}', got '-'", 3),
+    ("{0 ,2 ) ", "expected ',' or '}', got ')'", 7),
+    ("{(0}", "expected ',' or ')', got '}'", 4),
+    ("{(1 2)}", "expected ',' or ')', got '2'", 5),
+    ("{(0,)}", "expected an integer", 5),
+    ("{(", "expected an integer", 3),
+    ("{(0", "unexpected end of input", 4),
+    ("{- 3}", "expected an integer", 2),
+    ("{--3}", "expected an integer", 2),
+    ("{a}", "expected an integer", 2),
+    ("\t{\n0,\n}", "expected an integer", 7),
+    ("{0,2}x", "trailing characters after subset literal", 6),
+    (" {} }", "trailing characters after subset literal", 5),
+    ("{0,2", "unexpected end of input", 5),
+]
+
+
+@st.composite
+def literal_and_subset(draw):
+    """A subset and its literal, with random whitespace between tokens."""
+    kind = draw(st.sampled_from(["finite", "z1", "z2"]))
+    if kind == "finite":
+        group = draw(st.sampled_from(SMALL_GROUPS))
+        elems = draw(st.lists(st.integers(0, group.n - 1), max_size=6))
+        items = [[str(x)] for x in elems]
+    else:
+        d = 1 if kind == "z1" else 2
+        group = LatticeGroup(d)
+        elems = draw(st.lists(st.tuples(*[st.integers(-99, 99)] * d), max_size=6))
+        # Z^1 members are written as bare integers, Z^2 members as tuples.
+        items = ([[str(x)] for (x,) in elems] if d == 1
+                 else [["(", str(x), ",", str(y), ")"] for x, y in elems])
+    tokens = ["{"]
+    for i, item in enumerate(items):
+        tokens += ([","] if i else []) + item
+    tokens.append("}")
+    gaps = draw(st.lists(st.text(" \t\n", max_size=2),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+    return text, GroupSubset(group, elems)
 
 
 class TestSubsetLiterals:
@@ -190,11 +241,27 @@ class TestSubsetLiterals:
         assert parse_subset_literal("{-3,1}", z1).elements == ((-3,), (1,))
 
     def test_syntax_errors_carry_column(self):
-        c6 = make_cyclic(6)
-        for bad in ("0,2", "{0,2", "{0 2}", "{0,}", "{0,2}x", "{(0}", "{a}"):
-            with pytest.raises(ParseError) as info:
-                parse_subset_literal(bad, c6)
-            assert info.value.column is not None
+        for group in (make_cyclic(6), LatticeGroup(2)):
+            for bad, message, column in LITERAL_ERRORS:
+                with pytest.raises(ParseError) as info:
+                    parse_subset_literal(bad, group)
+                assert (str(info.value), info.value.column) == (
+                    f"{message} (column {column})", column), bad
+
+    def test_non_decimal_digit_is_a_parse_error(self, capsys):
+        # str.isdigit() holds for '²' but int() rejects it: the literal
+        # grammar takes decimal digits only.
+        with pytest.raises(ParseError) as info:
+            parse_subset_literal("{²}", make_cyclic(6))
+        assert (str(info.value), info.value.column) == ("expected an integer (column 2)", 2)
+        assert main(["match", "C4", "{²}", "{1}"]) == 2
+        assert "expected an integer (column 2)" in capsys.readouterr().out
+
+    @given(literal_and_subset())
+    @settings(max_examples=150, deadline=None)
+    def test_formatted_subset_round_trips(self, data):
+        text, expected = data
+        assert parse_subset_literal(text, expected.group) == expected
 
     def test_members_validated_against_group(self):
         with pytest.raises(ValueError):
@@ -212,9 +279,7 @@ class TestSubsetBasics:
         c6 = make_cyclic(6)
         A = GroupSubset(c6, [0, 1, 2])
         B = GroupSubset(c6, [2, 3])
-        assert A.union(B).elements == (0, 1, 2, 3)
-        assert A.difference(B).elements == (0, 1)
-        assert A.intersection(B).elements == (2,)
-        assert B.issubset(A.union(B))
+        assert B.issubset(GroupSubset(c6, A.members | B.members))
+        assert not B.issubset(A)
         with pytest.raises(MixedGroups):
-            A.union(GroupSubset(make_cyclic(5), [1]))
+            A.issubset(GroupSubset(make_cyclic(5), [1]))

@@ -32,17 +32,16 @@ from groupmatch import (
     make_dihedral,
     make_quaternion,
     parse_group_spec,
-    product_set,
     sweep_corollary,
     sweep_hall,
     sweep_kemperman,
     sweep_olson,
-    unique_products,
     verify_matching,
 )
 from groupmatch.cli import main
 from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _back_rows, _bits, _mask_result
 from groupmatch.reports import elements_json
+from groupmatch.subsets import product_set, unique_products
 from groupmatch.theorems import (PAIR_BLOCK, _automatching_instance, _column, _columns,
                                  _product_counts, _property_instance, _sampled_pairs)
 
