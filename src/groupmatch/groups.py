@@ -228,15 +228,17 @@ def _close(rows, members: set, gens) -> None:
 # Standard families
 
 
-def make_cyclic(n: int, name: str | None = None) -> GroupTable:
+def make_cyclic(n: int) -> GroupTable:
     """Cyclic group C_n with table[i][j] = (i+j) mod n."""
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
+    if n > DEFAULT_ORDER_CAP:
+        raise SizeLimit("cyclic group", n, DEFAULT_ORDER_CAP)
     idx = np.arange(n)
-    return GroupTable((idx[:, None] + idx) % n, name=name or f"C{n}")
+    return GroupTable((idx[:, None] + idx) % n, name=f"C{n}")
 
 
-def make_dihedral(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def make_dihedral(m: int) -> GroupTable:
     """Dihedral group of order 2m.
 
     Element i < m is the rotation r^i; element m + i is the reflection
@@ -244,15 +246,15 @@ def make_dihedral(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """
     if m < 1:
         raise ValueError("dihedral parameter must be >= 1")
-    if 2 * m > order_cap:
-        raise SizeLimit("dihedral group", 2 * m, order_cap)
+    if 2 * m > DEFAULT_ORDER_CAP:
+        raise SizeLimit("dihedral group", 2 * m, DEFAULT_ORDER_CAP)
     idx = np.arange(m)
     rot = (idx[:, None] + idx) % m
     ref = (idx[:, None] - idx) % m
     return GroupTable(np.block([[rot, rot + m], [ref + m, ref]]), name=f"D{m}")
 
 
-def make_symmetric(k: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def make_symmetric(k: int) -> GroupTable:
     """Symmetric group S_k, permutations of {0..k-1} in lexicographic order.
 
     Composition is (p*q)(x) = p(q(x)); the identity permutation is
@@ -261,8 +263,6 @@ def make_symmetric(k: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if not 1 <= k <= 5:
         raise ValueError("symmetric groups are supported for 1 <= k <= 5")
     perms = sorted(itertools.permutations(range(k)))
-    if len(perms) > order_cap:
-        raise SizeLimit("symmetric group", len(perms), order_cap)
     index = {p: i for i, p in enumerate(perms)}
     rows = [
         [index[tuple(p[q[x]] for x in range(k))] for q in perms]
@@ -295,12 +295,11 @@ def make_quaternion() -> GroupTable:
     return GroupTable(rows, names=names, name="Q8")
 
 
-def direct_product(g: GroupTable, h: GroupTable,
-                   order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Direct product with element (a, b) at index a*|H| + b."""
     n = g.n * h.n
-    if n > order_cap:
-        raise SizeLimit("direct product", n, order_cap)
+    if n > DEFAULT_ORDER_CAP:
+        raise SizeLimit("direct product", n, DEFAULT_ORDER_CAP)
     ga = g.array.astype(np.int64)
     ha = h.array.astype(np.int64)
     table = (np.repeat(np.repeat(ga, h.n, axis=0), h.n, axis=1) * h.n
@@ -398,7 +397,7 @@ _FAMILY_RE = re.compile(r"([CDS])([0-9]+)$|Q8$")
 _LATTICE_RE = re.compile(r"Z\^([0-9]+)$")
 
 
-def _parse_family(token: str, offset: int, order_cap: int) -> GroupTable:
+def _parse_family(token: str, offset: int) -> GroupTable:
     m = _FAMILY_RE.fullmatch(token)
     if not m:
         raise ParseError(f"unrecognized group family {token!r} "
@@ -409,19 +408,17 @@ def _parse_family(token: str, offset: int, order_cap: int) -> GroupTable:
     if letter == "C":
         if number < 1:
             raise ParseError("C<n> needs n >= 1", column=offset + 2)
-        if number > order_cap:
-            raise SizeLimit("cyclic group", number, order_cap)
         return make_cyclic(number)
     if letter == "D":
         if number < 1:
             raise ParseError("D<m> needs m >= 1", column=offset + 2)
-        return make_dihedral(number, order_cap=order_cap)
+        return make_dihedral(number)
     if not 1 <= number <= 5:
         raise ParseError("S<k> supports k in 1..5", column=offset + 2)
-    return make_symmetric(number, order_cap=order_cap)
+    return make_symmetric(number)
 
 
-def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP):
+def parse_group_spec(spec: str):
     """Build a group from a spec string like C4, D3, Q8, C2xC4 or Z^2."""
     s = spec.strip()
     if not s:
@@ -442,10 +439,9 @@ def parse_group_spec(spec: str, order_cap: int = DEFAULT_ORDER_CAP):
     for part, off in zip(parts, offsets):
         if not part:
             raise ParseError("empty factor in product spec", column=off + 1)
-    group = _parse_family(parts[0], offsets[0], order_cap)
+    group = _parse_family(parts[0], offsets[0])
     for part, off in zip(parts[1:], offsets[1:]):
-        group = direct_product(group, _parse_family(part, off, order_cap),
-                               order_cap=order_cap)
+        group = direct_product(group, _parse_family(part, off))
     group.name = s
     return group
 
@@ -478,7 +474,7 @@ def loads_group(text: str, name: str | None = None) -> GroupTable:
 
     no, ln = next_line("'n <order>'")
     fields = ln.split()
-    if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
+    if len(fields) != 2 or fields[0] != "n" or not fields[1].isdecimal():
         raise ParseError("expected 'n <order>'", line=no)
     n = int(fields[1])
     if n < 1:

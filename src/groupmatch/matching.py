@@ -243,7 +243,7 @@ def verify_matching(A: GroupSubset, B: GroupSubset, matching: Matching) -> Verif
     return VerifyResult(True)
 
 
-def brute_force_matching(A: GroupSubset, B: GroupSubset, max_size: int = BRUTE_FORCE_CAP):
+def brute_force_matching(A: GroupSubset, B: GroupSubset):
     """Search the |A|! bijections in lexicographic order; independent oracle.
 
     A depth-first search assigns images to ``A.elements`` in order and
@@ -256,8 +256,8 @@ def brute_force_matching(A: GroupSubset, B: GroupSubset, max_size: int = BRUTE_F
         raise EmptyInput("A and B must be nonempty")
     if len(A) != len(B):
         raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
-    if len(A) > max_size:
-        raise SizeLimit("brute-force bijection scan", len(A), max_size)
+    if len(A) > BRUTE_FORCE_CAP:
+        raise SizeLimit("brute-force bijection scan", len(A), BRUTE_FORCE_CAP)
     lefts, mul, members = A.elements, g.mul, A.members
 
     def extend(image: tuple, free: tuple):

@@ -34,6 +34,7 @@ DEFAULT_PROPERTY_ORDER_CAP = 24
 PROPERTY_EXHAUSTIVE_CAP = 7     # matching-property is exhaustive up to this order
 IDENTITY_CONFIRMATION_CAP = 5   # automatching confirms every A ∋ 1 up to this size
 HALL_MAX_SIZE = 5               # |A| = |B| bound of the Hall cross-validation
+LATTICE_CONFIRMATION_CAP = 6    # lattice instances up to this size are confirmed by brute force
 DEFAULT_SAMPLES = 2000
 DEFAULT_HALL_SAMPLES = 500
 DEFAULT_LATTICE_SIZE_CAP = 10
@@ -72,8 +73,8 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status != "fail"
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "check": self.check_name,
             "status": self.status,
             "instances_tested": self.instances_tested,
@@ -82,9 +83,6 @@ class CheckReport:
             "failures": self.failures,
             "flagged": self.flagged,
         }
-        if include_elapsed:
-            out["elapsed_seconds"] = round(self.elapsed, 6)
-        return out
 
 
 @dataclass(frozen=True)
@@ -615,8 +613,8 @@ def _random_point(rng: random.Random, d: int, bound: int) -> tuple:
 def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
                            coordinate_bound: int = 10, seed: int = 0) -> CheckReport:
     """Sample |A| = |B| <= max_size lattice subsets (zero kept out of B) and
-    require a matching every time; instances of size <= 6 are additionally
-    confirmed against the brute-force bijection oracle."""
+    require a matching every time; instances of size <= LATTICE_CONFIRMATION_CAP
+    are also confirmed against the brute-force bijection oracle."""
     t0 = perf_counter()
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
@@ -654,7 +652,7 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
                 "S": _els(result.subset), "deficiency": result.deficiency})
         elif not verify_matching(A, B, result):
             report.failures.append({"kind": "invalid-matching", "A": _els(A), "B": _els(B)})
-        if k <= 6:
+        if k <= LATTICE_CONFIRMATION_CAP:
             brute = brute_force_matching(A, B)
             if (brute is not None) != matched:
                 report.failures.append({
@@ -670,7 +668,7 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
 # Three-way cross-validation: engine, brute force, Hall inequalities
 
 
-def cross_validate_hall(A: GroupSubset, B: GroupSubset, *, max_size: int = HALL_MAX_SIZE) -> bool:
+def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
     """Agreement of the engine, the bijection oracle, and Hall's condition.
 
     Hall's condition is evaluated in both equivalent forms for every
@@ -683,8 +681,8 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset, *, max_size: int = HALL_
         raise EmptyInput("A and B must be nonempty")
     if len(A) != len(B):
         raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
-    if len(A) > max_size:
-        raise SizeLimit("Hall cross-validation", len(A), max_size)
+    if len(A) > HALL_MAX_SIZE:
+        raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -292,3 +294,18 @@ def test_process_entry_point():
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "groupmatch.theorems" in imported
     assert not imported & {"concurrent.futures", "multiprocessing"}
+
+
+def test_readme_cli_examples_exit_as_documented(capsys):
+    """Each command line of the sh block under README's "## CLI" heading
+    exits with the code its comment states ("exit N"), or 0 if none."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("groupmatch ")]
+    assert lines
+    for line in lines:
+        stated = re.search(r"#.*\bexit (\d+)", line)
+        argv = shlex.split(line, comments=True)
+        assert main(argv[1:]) == (int(stated.group(1)) if stated else 0), line
+        capsys.readouterr()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from groupmatch import (
     make_symmetric,
     parse_group_spec,
 )
+from groupmatch.cli import main
 
 # A 5x5 Latin square with identity at index 0 that is not associative
 # (found by exhaustive search over loops of order 5).
@@ -143,10 +146,28 @@ class TestFamilies:
         assert [element_order(k4, a) for a in range(1, 4)] == [2, 2, 2]
 
     def test_order_caps(self):
-        with pytest.raises(SizeLimit):
-            make_dihedral(10, order_cap=12)
-        with pytest.raises(SizeLimit):
-            direct_product(make_cyclic(4), make_cyclic(4), order_cap=15)
+        # Each builder checks the order cap before it allocates: a table of
+        # order 5040 or more takes at least 25 MB, so the traced peak stays
+        # far below that only if nothing of the table was built.
+        c80, c64 = make_cyclic(80), make_cyclic(64)
+        builds = {
+            "make_cyclic(5041)": lambda: make_cyclic(5041),
+            "make_dihedral(2521)": lambda: make_dihedral(2521),
+            "direct_product(C80, C64)": lambda: direct_product(c80, c64),
+            "C5041": lambda: parse_group_spec("C5041"),
+            "D2521": lambda: parse_group_spec("D2521"),
+            "C80xC64": lambda: parse_group_spec("C80xC64"),
+        }
+        for what, build in builds.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeLimit) as info:
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert info.value.cap == 5040 and "exceeds cap 5040" in str(info.value), what
+            assert peak < 2**20, (what, peak)
 
 
 class TestStructureQueries:
@@ -302,6 +323,16 @@ class TestFileFormat:
                 dumps_group(g)
             return
         assert loads_group(dumps_group(g)).names == ("e", name)
+
+    def test_non_decimal_order_is_a_parse_error(self, capsys, tmp_path):
+        # str.isdigit() holds for '²' but int() rejects it.
+        with pytest.raises(ParseError) as info:
+            loads_group("n ²\ntable\n")
+        assert (str(info.value), info.value.line) == ("expected 'n <order>' (line 1)", 1)
+        path = tmp_path / "superscript.table"
+        path.write_text("n ²\ntable\n", encoding="utf-8")
+        assert main(["match", str(path), "{0}", "{1}"]) == 2
+        assert "expected 'n <order>' (line 1)" in capsys.readouterr().out
 
     def test_order_cap_checked_before_rows(self):
         with pytest.raises(SizeLimit) as info:

@@ -592,4 +592,3 @@ class TestReportContract:
     def test_elapsed_excluded_from_machine_dict(self):
         r = sweep_kemperman(make_cyclic(3))
         assert "elapsed_seconds" not in r.to_dict()
-        assert "elapsed_seconds" in r.to_dict(include_elapsed=True)
