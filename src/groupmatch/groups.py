@@ -8,6 +8,7 @@ axioms.  Torsion-free testing uses Z^d under componentwise addition.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,7 +104,7 @@ class LatticeGroup:
         return (0,) * self.d
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inverse(self, a: tuple) -> tuple:
         return tuple(-x for x in a)

@@ -210,37 +210,70 @@ def _graph_result(group, graph: MatchabilityGraph):
     return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))
 
 
-def _back_rows(group: GroupTable) -> list:
-    """``back[a][y] == 1 << (a⁻¹*y)``, so summing ``back[a]`` over the y in
-    A gives the mask of the x with a*x in A.  Row a of the argsort of the
-    Cayley table maps y to a⁻¹y, the x with a*x = y."""
-    return [tuple(1 << x for x in row) for row in np.argsort(group.array, axis=1).tolist()]
+def _stay_tables(group: GroupTable) -> list:
+    """``stay[a][k][v]`` is the mask of the x with a*x in {8k + j : bit j
+    of v set}.  Distinct products have distinct x, so the entries that the
+    bytes of A's mask pick from ``stay[a]`` sum to the mask of
+    {x : a*x in A}.  Row a of the argsort of the Cayley table maps y to
+    a⁻¹y, the x with a*x = y."""
+    width = (group.n + 7) // 8
+    stay = []
+    for row in np.argsort(group.array, axis=1).tolist():
+        back = [1 << x for x in row] + [0] * (8 * width - group.n)
+        tables = []
+        for k in range(width):
+            table = [0]
+            for bit in back[8 * k:8 * k + 8]:
+                # Entry v + 2**j is entry v with the x of bit j added.
+                table += [m | bit for m in table]
+            tables.append(table)
+        stay.append(tables)
+    return stay
 
 
-def _mask_result(group: GroupTable, back, a_els, b_mask):
-    """What find_matching(A, B) returns, for A given by its ascending
-    elements and B by its mask.  Row a is B minus {x : a*x in A}, with bit
-    x for element x, so Kuhn's scan follows the ascending order of B."""
-    rows = tuple(b_mask & ~sum(map(back[a].__getitem__, a_els)) for a in a_els)
-    return _graph_result(group, MatchabilityGraph(left=a_els, right=group.elements(), rows=rows))
+def _mask_graph(stay, a_els, a_mask: int, b_mask: int) -> MatchabilityGraph:
+    """The matchability graph of A, given by its ascending elements and its
+    mask, into B, given by its mask.  Row a is B minus {x : a*x in A}, one
+    table lookup per byte of A's mask, with bit x for element x, so Kuhn's
+    scan follows the ascending order of B."""
+    a_bytes = a_mask.to_bytes(len(stay[0]), "little")
+    rows = tuple([b_mask & ~sum(map(list.__getitem__, stay[a], a_bytes)) for a in a_els])
+    return MatchabilityGraph(left=a_els, right=range(len(stay)), rows=rows)
+
+
+def _mask_result(group: GroupTable, stay, a_els, a_mask: int, b_mask: int):
+    """What find_matching(A, B) returns, for A and B given as in ``_mask_graph``."""
+    return _graph_result(group, _mask_graph(stay, a_els, a_mask, b_mask))
+
+
+def _mask_matches(stay, a_els, a_mask: int, b_mask: int) -> bool:
+    """Whether a matching A -> B exists, by Kuhn's search alone: no
+    certificate is built."""
+    return None not in _maximum_matching(_mask_graph(stay, a_els, a_mask, b_mask))[0]
+
+
+def _matching_fault(group, a_set, b_set, pairs: tuple) -> str | None:
+    """Why the (a, phi(a)) pairs are not a matching from the set A onto the
+    set B, or None when they are: a bijection with a*phi(a) outside A."""
+    lefts = [a for a, _ in pairs]
+    rights = [b for _, b in pairs]
+    if len(pairs) != len(a_set) or len(a_set) != len(b_set):
+        return f"pair count {len(pairs)} does not cover |A| = {len(a_set)}, |B| = {len(b_set)}"
+    left_set, right_set = set(lefts), set(rights)
+    if len(left_set) != len(lefts) or left_set != a_set:
+        return "left elements do not cover A exactly once"
+    if len(right_set) != len(rights) or right_set != b_set:
+        return "not bijective: right elements do not cover B exactly once"
+    for a, b in pairs:
+        if group.mul(a, b) in a_set:
+            return f"pair ({group.label(a)}, {group.label(b)}): product {group.label(group.mul(a, b))} lies in A"
+    return None
 
 
 def verify_matching(A: GroupSubset, B: GroupSubset, matching: Matching) -> VerifyResult:
     """Check bijectivity and the defining condition a*phi(a) not in A."""
-    g = _same_group(A, B)
-    pairs = tuple(matching.pairs)
-    lefts = [a for a, _ in pairs]
-    rights = [b for _, b in pairs]
-    if len(pairs) != len(A) or len(A) != len(B):
-        return VerifyResult(False, f"pair count {len(pairs)} does not cover |A| = {len(A)}, |B| = {len(B)}")
-    if len(set(lefts)) != len(lefts) or set(lefts) != A.members:
-        return VerifyResult(False, "left elements do not cover A exactly once")
-    if len(set(rights)) != len(rights) or set(rights) != B.members:
-        return VerifyResult(False, "not bijective: right elements do not cover B exactly once")
-    for a, b in pairs:
-        if g.mul(a, b) in A:
-            return VerifyResult(False, f"pair ({g.label(a)}, {g.label(b)}): product {g.label(g.mul(a, b))} lies in A")
-    return VerifyResult(True)
+    reason = _matching_fault(_same_group(A, B), A.members, B.members, tuple(matching.pairs))
+    return VerifyResult(reason is None, reason)
 
 
 def brute_force_matching(A: GroupSubset, B: GroupSubset):
@@ -258,7 +291,12 @@ def brute_force_matching(A: GroupSubset, B: GroupSubset):
         raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
     if len(A) > BRUTE_FORCE_CAP:
         raise SizeLimit("brute-force bijection scan", len(A), BRUTE_FORCE_CAP)
-    lefts, mul, members = A.elements, g.mul, A.members
+    return _brute_force(A, B)
+
+
+def _brute_force(A: GroupSubset, B: GroupSubset):
+    """brute_force_matching after its input checks."""
+    lefts, mul, members = A.elements, A.group.mul, A.members
 
     def extend(image: tuple, free: tuple):
         # free is B minus image, ascending, so images are tried in order.

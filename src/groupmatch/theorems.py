@@ -23,8 +23,9 @@ import numpy as np
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import (HallViolator, Matching, _back_rows, _bits, _mask_result, brute_force_matching,
-                       find_matching, verify_matching)
+from .matching import (HallViolator, Matching, _bits, _brute_force, _mask_matches, _mask_result,
+                       _matching_fault, _stay_tables, brute_force_matching, find_matching,
+                       verify_matching)
 from .reports import elements_json as _els
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -444,18 +445,18 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 # Automatching: a matching A -> A exists iff the identity is outside A
 
 
-def _automatching_instance(group, back, mask):
+def _automatching_instance(group, stay, mask):
     a_mask = mask << 1
     a_els = _bits(a_mask)
-    result = _mask_result(group, back, a_els, a_mask)
+    result = _mask_result(group, stay, a_els, a_mask, a_mask)
     if isinstance(result, HallViolator):
         return {"kind": "automatching-violator", "A": a_els,
                 "S": _els(result.subset), "neighborhood": _els(result.neighborhood),
                 "deficiency": result.deficiency}
-    A = GroupSubset(group, a_els)
-    verdict = verify_matching(A, A, result)
-    if not verdict:
-        return {"kind": "invalid-matching", "A": a_els, "why": verdict.reason}
+    a_set = frozenset(a_els)
+    why = _matching_fault(group, a_set, a_set, result.pairs)
+    if why is not None:
+        return {"kind": "invalid-matching", "A": a_els, "why": why}
     return None
 
 
@@ -479,9 +480,9 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     if n > order_cap:
         raise SizeLimit("automatching sweep", n, order_cap)
     report = CheckReport("automatching")
-    back = _back_rows(group)
+    stay = _stay_tables(group)
     for mask in range(1, 1 << (n - 1)):
-        outcome = _automatching_instance(group, back, mask)
+        outcome = _automatching_instance(group, stay, mask)
         report.instances_tested += 1
         if outcome is not None:
             report.failures.append(outcome)
@@ -508,12 +509,16 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
 # Matching-property classification
 
 
-def _property_instance(group, back, pair):
+def _pair_masks(pair) -> tuple:
+    """(A's elements, A's mask, B's mask) of a pair of ascending element tuples."""
     a_els, b_els = pair
-    result = _mask_result(group, back, a_els, sum(1 << b for b in b_els))
-    if isinstance(result, Matching):
-        return None
-    return {"A": _els(a_els), "B": _els(b_els), "S": _els(result.subset),
+    return a_els, sum(1 << a for a in a_els), sum(1 << b for b in b_els)
+
+
+def _property_record(group, stay, pair) -> dict:
+    """The violator record of an unmatchable pair."""
+    result = _mask_result(group, stay, *_pair_masks(pair))
+    return {"A": _els(pair[0]), "B": _els(pair[1]), "S": _els(result.subset),
             "neighborhood": _els(result.neighborhood), "deficiency": result.deficiency}
 
 
@@ -524,7 +529,8 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
     Sweeps all pairs (A, B) with |A| = |B| and identity outside B
     (exhaustively up to ``PROPERTY_EXHAUSTIVE_CAP``, seeded samples above)
     and requires the outcome to equal the predicted matching property.  When pairs fail,
-    the minimal failing pair (by |A|, then lexicographically) is flagged.  A
+    they are counted, and the minimal failing pair (by |A|, then
+    lexicographically) is flagged; its record is the only one built.  A
     run that tests no pair (``samples=0`` above the exhaustive cap) compares
     nothing and finishes skipped.
     """
@@ -547,21 +553,23 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
         used_seed, mode = seed, "sampled"
 
     report = CheckReport("matching-property", seed=used_seed)
-    failing = []
-    back = _back_rows(group)
+    stay = _stay_tables(group)
+    failed, least = 0, None
     for pair in instances:
-        outcome = _property_instance(group, back, pair)
         report.instances_tested += 1
-        if outcome is not None:
-            failing.append(outcome)
-    property_holds = not failing
-    minimal = min(failing, key=lambda r: (len(r["A"]), r["A"], r["B"])) if failing else None
+        if not _mask_matches(stay, *_pair_masks(pair)):
+            failed += 1
+            key = (len(pair[0]), pair)
+            if least is None or key < least:
+                least = key
+    property_holds = not failed
+    minimal = None if least is None else _property_record(group, stay, least[1])
     report.flagged.append({
         "kind": "matching-property-outcome",
         "mode": mode,
         "predicted": predicted,
         "property_holds": property_holds,
-        "pairs_failed": len(failing),
+        "pairs_failed": failed,
         "counterexample": minimal,
     })
     if report.instances_tested and property_holds != predicted:
@@ -685,12 +693,16 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
+    return _cross_validate(A, B)
 
+
+def _cross_validate(A: GroupSubset, B: GroupSubset) -> bool:
+    """cross_validate_hall after its input checks."""
     engine_ok = isinstance(find_matching(A, B), Matching)
-    brute_ok = brute_force_matching(A, B) is not None
+    brute_ok = _brute_force(A, B) is not None
 
     # Row masks over B, one per s in A, each built from the group law on its own.
-    mul, a_set, b_els = g.mul, A.members, B.elements
+    mul, a_set, b_els = A.group.mul, A.members, B.elements
     cand = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) not in a_set) for s in A]
     stay = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) in a_set) for s in A]
     # Both forms of S extend those of S minus its lowest member, index i.
@@ -720,7 +732,7 @@ def _hall_instance(group, pair):
     A = GroupSubset(group, a_els)
     B = GroupSubset(group, b_els)
     try:
-        cross_validate_hall(A, B)
+        _cross_validate(A, B)
     except CrossValidationError as exc:
         return {"kind": "cross-validation-disagreement",
                 "A": _els(A), "B": _els(B), "why": str(exc)}

@@ -175,7 +175,9 @@ class TestVerifyCommand:
     # automatching and matching-property left GroupSubset and find_matching
     # (D6 has violator records; C14 has 13x13 pairs, which find_matching
     # gathers from the numpy table), and before the product-set sweeps ran
-    # as array blocks (C14 and D5 sample their pairs above the exhaustive cap).
+    # as array blocks (C14 and D5 sample their pairs above the exhaustive cap),
+    # and before the sweeps built their rows from per-byte stay tables (S4 is
+    # the one catalog path whose masks take three bytes).
     @pytest.mark.parametrize("spec,checks,digest", [
         ("C6", "all", "d2376408514ef41f459d475c4db3f6cc4771b09d285692ca0986f040c815dcd6"),
         ("Q8", "kemperman,olson,automatching,matching-property,hall",
@@ -188,6 +190,10 @@ class TestVerifyCommand:
          "26bee95500f87ac794407282346e553522cc9512ee68448f23881e50f6d89715"),
         ("D5", "kemperman,olson",
          "889c227cf7aa363ba89d2a55f26d13cbf70c97181cb25a41cf31ea549e8b0799"),
+        ("S4", "matching-property",
+         "02feedd0e508b01c52576e848c5419aef50230260df52f9c9e18847dbf3e534b"),
+        ("C2xC2xC2", "automatching,matching-property,hall",
+         "f84a1932bbe9c6db8892e3222b57152a2d9560c0f1fbe007f37c3b9f92aa88a2"),
     ])
     def test_machine_report_digest_is_pinned(self, capsys, spec, checks, digest):
         code, out = run(capsys, "verify", spec, "--checks", checks, "--seed", "7",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from groupmatch import (
+    CATALOG_SPECS,
     CrossValidationError,
     EmptyInput,
     GroupSubset,
@@ -39,11 +40,13 @@ from groupmatch import (
     verify_matching,
 )
 from groupmatch.cli import main
-from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _back_rows, _bits, _mask_result
+from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, _bits, _mask_matches, _mask_result,
+                                 _stay_tables)
 from groupmatch.reports import elements_json
 from groupmatch.subsets import product_set, unique_products
-from groupmatch.theorems import (PAIR_BLOCK, _automatching_instance, _column, _columns,
-                                 _product_counts, _property_instance, _sampled_pairs)
+from groupmatch.theorems import (PAIR_BLOCK, PROPERTY_EXHAUSTIVE_CAP, _automatching_instance,
+                                 _column, _columns, _pair_masks, _product_counts, _property_record,
+                                 _sampled_pairs, _sized_pairs)
 
 
 def subset(group, els):
@@ -328,6 +331,35 @@ class TestAutomatching:
         assert r.flagged == [{"kind": "identity-in-A-confirmations", "count": 1941}]
 
 
+class LeftProjection(GroupTable):
+    """C5's table with mul(a, b) = a: the engine's rows come from the table,
+    while the matching checker and brute force see a*b = a in A."""
+
+    def mul(self, a, b):
+        return a
+
+
+class TestAutomatchingFaultRecords:
+    def test_invalid_matchings_and_confirmations_are_pinned(self):
+        c5 = make_cyclic(5)
+        report = check_automatching(LeftProjection(c5.table, name=c5.name)).to_dict()
+        whys = ["pair (1, 1): product 1 lies in A", "pair (2, 2): product 2 lies in A",
+                "pair (1, 2): product 1 lies in A", "pair (3, 3): product 3 lies in A",
+                "pair (1, 3): product 1 lies in A", "pair (2, 3): product 2 lies in A",
+                "pair (1, 3): product 1 lies in A", "pair (4, 4): product 4 lies in A",
+                "pair (1, 4): product 1 lies in A", "pair (2, 4): product 2 lies in A",
+                "pair (1, 2): product 1 lies in A", "pair (3, 4): product 3 lies in A",
+                "pair (1, 1): product 1 lies in A", "pair (2, 4): product 2 lies in A",
+                "pair (1, 4): product 1 lies in A"]
+        assert report == {
+            "check": "automatching", "status": "fail", "instances_tested": 15,
+            "instances_skipped": 0, "seed": None,
+            "failures": [{"kind": "invalid-matching", "A": _bits(mask << 1), "why": why}
+                         for mask, why in zip(range(1, 16), whys)],
+            "flagged": [{"kind": "identity-in-A-confirmations", "count": 16}],
+        }
+
+
 def engine_result(group, a_els, b_els):
     """find_matching on GroupSubsets, with every matching verified."""
     A, B = subset(group, a_els), subset(group, b_els)
@@ -354,35 +386,71 @@ class TestMaskInstancePath:
         for spec, sizes in [("C12", range(1, 12)), ("D6", range(1, 12)), ("Q8", range(1, 8)),
                             ("C2xC4", range(1, 8)), ("C14", [3, 6, 9, 12, 13])]:
             g = parse_group_spec(spec)
-            back = _back_rows(g)
+            stay = _stay_tables(g)
             rng = random.Random(f"property/{spec}")
             for k in sizes:
                 for _ in range(12):
                     a_els = tuple(sorted(rng.sample(range(g.n), k)))
                     b_els = tuple(sorted(rng.sample(range(1, g.n), k)))
                     expected = engine_result(g, a_els, b_els)
-                    assert _mask_result(g, back, a_els, sum(1 << b for b in b_els)) == expected
-                    record = _property_instance(g, back, (a_els, b_els))
-                    if isinstance(expected, Matching):
-                        assert record is None
-                    else:
-                        assert record == violator_record(a_els, b_els, expected)
+                    masks = _pair_masks((a_els, b_els))
+                    assert _mask_result(g, stay, *masks) == expected
+                    assert _mask_matches(stay, *masks) == isinstance(expected, Matching)
+                    if isinstance(expected, HallViolator):
+                        assert (_property_record(g, stay, (a_els, b_els))
+                                == violator_record(a_els, b_els, expected))
                         unmatchable += 1
         assert unmatchable >= 20
 
     @pytest.mark.parametrize("spec", ["D5", "Q8"])
     def test_automatching_instances(self, spec):
         g = parse_group_spec(spec)
-        back = _back_rows(g)
+        stay = _stay_tables(g)
         for mask in range(1, 1 << (g.n - 1)):
             a_els = _bits(mask << 1)
             expected = engine_result(g, a_els, a_els)
             assert isinstance(expected, Matching)
-            assert _mask_result(g, back, a_els, mask << 1) == expected
-            assert _automatching_instance(g, back, mask) is None
+            assert _mask_result(g, stay, a_els, mask << 1, mask << 1) == expected
+            assert _automatching_instance(g, stay, mask) is None
+
+    @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "S4", "C24", "D12"])
+    def test_stay_tables_against_mul(self, spec):
+        # Orders 1 to 24: masks of one, two and three bytes.
+        g = parse_group_spec(spec)
+        stay = _stay_tables(g)
+        rng = random.Random(f"stay/{spec}")
+        for _ in range(40):
+            a_mask = rng.randrange(1 << g.n)
+            a_bytes = a_mask.to_bytes((g.n + 7) // 8, "little")
+            in_A = {y for y in g.elements() if a_mask >> y & 1}
+            for a in g.elements():
+                expected = sum(1 << x for x in g.elements() if g.mul(a, x) in in_A)
+                assert sum(table[v] for table, v in zip(stay[a], a_bytes)) == expected
+
+
+def reference_property_outcome(group, samples, seed):
+    """(pairs_failed, minimal record) of sampled matching-property, from a
+    record built for every failing pair by find_matching on GroupSubsets."""
+    failing = []
+    for a_els, b_els in _sized_pairs(group.n, group.n - 1, samples, seed):
+        result = engine_result(group, a_els, b_els)
+        if isinstance(result, HallViolator):
+            failing.append(violator_record(a_els, b_els, result))
+    minimal = min(failing, key=lambda r: (len(r["A"]), r["A"], r["B"])) if failing else None
+    return len(failing), minimal
 
 
 class TestMatchingProperty:
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("spec", ["D4", "C2xC4", "C12", "D6"])
+    def test_counts_and_minimal_record_match_reference(self, spec, seed):
+        g = parse_group_spec(spec)
+        assert g.n > PROPERTY_EXHAUSTIVE_CAP
+        out = check_matching_property(g, samples=300, seed=seed).flagged[-1]
+        failed, minimal = reference_property_outcome(g, 300, seed)
+        assert failed > 0
+        assert (out["pairs_failed"], out["counterexample"]) == (failed, minimal)
+
     def test_c5_holds_and_agrees(self):
         r = check_matching_property(make_cyclic(5))
         assert r.status == "pass"
