@@ -98,10 +98,12 @@ def _resolve_group(spec: str):
     try:
         return parse_group_spec(spec)
     except ParseError:
-        path = Path(spec)
-        if path.exists():
-            return load_group_file(path)
-        raise
+        if not Path(spec).exists():
+            raise
+    try:
+        return load_group_file(spec)
+    except OSError as exc:      # a directory, or a file that may not be read
+        raise ParseError(f"cannot read group file {spec}: {exc.strerror or exc}") from exc
 
 
 def _group_doc(group) -> dict:

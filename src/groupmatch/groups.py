@@ -25,24 +25,21 @@ DEFAULT_SUBGROUP_CAP = 24
 class GroupTable:
     """A finite group given by its Cayley table; index 0 is the identity.
 
-    ``table[a][b]`` is the product a*b as an element index, and ``array``
-    is the same table as a numpy array in the smallest unsigned dtype that
-    holds n - 1.  ``names`` is an optional tuple of display strings, one
-    per element.
+    ``array[a, b]`` is the product a*b as an element index, in a read-only
+    numpy array of the smallest unsigned dtype that holds n - 1; it is the
+    group's one table, and ``table`` is the same array object.  ``names`` is
+    an optional tuple of display strings, one per element.
     """
 
-    __slots__ = ("n", "table", "array", "names", "name")
+    __slots__ = ("n", "array", "names", "name", "_cells")
 
     def __init__(self, table, names=None, name: str | None = None):
         arr = _as_index_array(table)
-        # Every row shares the n element ints instead of one int per cell.
-        ints = list(range(arr.shape[0]))
-        rows = tuple(tuple(map(ints.__getitem__, row.tolist())) for row in arr)
-        _check_group_axioms(arr, rows)
-        self.n = len(ints)
-        self.table = rows
+        _check_group_axioms(arr)
+        self.n = arr.shape[0]
         self.array = arr
         arr.setflags(write=False)
+        self._cells = memoryview(arr)   # mul reads Python ints from it
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != self.n:
@@ -50,15 +47,17 @@ class GroupTable:
         self.names = names
         self.name = name
 
+    table = property(operator.attrgetter("array"), doc="The same array object as ``array``.")
+
     @property
     def identity(self) -> int:
         return 0
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self._cells[a, b]
 
     def inverse(self, a: int) -> int:
-        return self.table[a].index(0)
+        return int(np.flatnonzero(self.array[a] == 0)[0])
 
     def elements(self) -> range:
         return range(self.n)
@@ -80,10 +79,15 @@ class GroupTable:
     def __eq__(self, other):
         if not isinstance(other, GroupTable):
             return NotImplemented
-        return self.table == other.table
+        return self is other or (self.n == other.n and np.array_equal(self.array, other.array))
 
     def __hash__(self):
-        return hash(self.table)
+        # The squares: O(n) bytes, equal for equal tables.
+        return hash(self.array.diagonal().tobytes())
+
+    def __reduce__(self):
+        # A memoryview cannot be pickled, so rebuild from the array.
+        return type(self), (self.array, self.names, self.name)
 
     def __repr__(self):
         return f"GroupTable(order={self.n}, name={self.name!r})"
@@ -164,7 +168,7 @@ def _first_duplicate(row) -> tuple[int, int]:
     raise AssertionError("no duplicate in row")
 
 
-def _check_group_axioms(arr: np.ndarray, rows):
+def _check_group_axioms(arr: np.ndarray):
     n = arr.shape[0]
     idx = np.arange(n)
 
@@ -209,17 +213,17 @@ def _check_group_axioms(arr: np.ndarray, rows):
             raise NotAGroup("not-associative", (x, g, y),
                             f"(a{x}*a{g})*a{y} != a{x}*(a{g}*a{y})")
         gens.append(g)
-        _close(rows, reached, gens)
+        _close(arr, reached, gens)
 
 
-def _close(rows, members: set, gens) -> None:
+def _close(arr: np.ndarray, members: set, gens) -> None:
     """Grow ``members`` in place to its closure under right multiplication
-    by ``gens``; ``rows[a][b]`` is the product a*b."""
+    by ``gens``; ``arr[a, b]`` is the product a*b."""
+    cells = memoryview(arr)
     queue = list(members)
     for a in queue:
-        row = rows[a]
         for g in gens:
-            b = row[g]
+            b = cells[a, g]
             if b not in members:
                 members.add(b)
                 queue.append(b)
@@ -352,7 +356,7 @@ def enumerate_subgroups(group: GroupTable,
                 if x in h:
                     continue
                 members = set(h)
-                _close(group.table, members, (*h, x))
+                _close(group.array, members, (*h, x))
                 k = frozenset(members)
                 if k not in found:
                     found.add(k)
@@ -519,7 +523,7 @@ def dumps_group(group: GroupTable) -> str:
     that is empty, padded with whitespace, starts with ``#`` or spans lines.
     """
     out = [f"n {group.n}", "table"]
-    out.extend(" ".join(str(x) for x in row) for row in group.table)
+    out.extend(" ".join(map(str, row)) for row in group.array.tolist())
     if group.names:
         for i, name in enumerate(group.names):
             if name.splitlines() != [name] or name != name.strip() or name.startswith("#"):

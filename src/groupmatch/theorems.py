@@ -110,11 +110,9 @@ def _columns(masks, n: int) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
-def _column(group: GroupTable, els) -> np.ndarray:
-    """The (n, 1) boolean column of one subset."""
-    col = np.zeros((group.n, 1), bool)
-    col[list(els), 0] = True
-    return col
+def _pair_columns(A: GroupSubset, B: GroupSubset) -> tuple:
+    """The (n, 1) boolean columns of one pair of subsets."""
+    return tuple(_columns([sum(1 << x for x in S)], S.group.n) for S in (A, B))
 
 
 def _all_pairs(subsets: np.ndarray):
@@ -178,12 +176,12 @@ def _pair_blocks(n: int, exhaustive_cap: int, samples: int, seed: int) -> tuple:
     return _sampled_pairs(n, samples, random.Random(seed)), seed
 
 
-def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray, left=None) -> np.ndarray:
+def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``count[c, p] = #{(a, b) in A_p x B_p : a*b = c}`` for boolean (n, P)
-    matrices A and B whose column p is the pair p.  One vector step per a in
-    ``left`` (default: every element), which must cover the rows set in A:
-    row a of the argsort of the table maps c to a⁻¹c, the b with a*b = c."""
-    left = list(group.elements() if left is None else left)
+    matrices A and B whose column p is the pair p.  One vector step per a
+    set in some column of A: row a of the argsort of the table maps c to
+    a⁻¹c, the b with a*b = c."""
+    left = np.flatnonzero(A.any(axis=1))
     divide = np.argsort(group.array[left], axis=1)
     count = np.zeros(A.shape, np.min_scalar_type(group.n))    # no count exceeds n
     for a, row in zip(left, divide):
@@ -209,10 +207,10 @@ def _members(column) -> list:
 # Product-set lower bound (unique-product hypothesis)
 
 
-def _kemperman_block(group: GroupTable, A, B, left=None) -> tuple:
+def _kemperman_block(group: GroupTable, A, B) -> tuple:
     """(pairs without a unique product, failure records) for a block of pairs.
     Records are built only for the pairs that break the bound."""
-    count = _product_counts(group, A, B, left)
+    count = _product_counts(group, A, B)
     unique = count == 1
     met = unique.any(axis=0)
     a_size, b_size = A.sum(axis=0), B.sum(axis=0)
@@ -235,8 +233,7 @@ def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
     report = CheckReport("kemperman")
-    skipped, failures = _kemperman_block(g, _column(g, A.elements), _column(g, B.elements),
-                                         A.elements)
+    skipped, failures = _kemperman_block(g, *_pair_columns(A, B))
     if skipped:
         report.flagged.append({"kind": "hypothesis-unmet",
                                "why": "no unique-product element in AB"})
@@ -319,9 +316,8 @@ def sweep_corollary(group: GroupTable, *,
     n = group.n
     if n > order_cap:
         raise SizeLimit("containment-bound sweep", n, order_cap)
-    # U and V are subsets of the non-identity elements: row 0 stays unset.
-    subsets = np.zeros((n, (1 << (n - 1)) - 1), bool)
-    subsets[1:] = _columns(range(1, 1 << (n - 1)), n - 1)
+    # U and V are subsets of the non-identity elements: the even masks.
+    subsets = _columns(range(2, 1 << n, 2), n)
     x_full = list(range(1, n))
     report = CheckReport("corollary")
     stated = []
@@ -400,9 +396,8 @@ def check_olson(A: GroupSubset, B: GroupSubset, *,
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
     table = _orbit_table(g, enumerate_subgroups(g, subgroup_cap))
-    a_col, b_col = _column(g, A.elements), _column(g, B.elements)
-    found, inside = _olson_block(table, a_col, b_col,
-                                 _product_counts(g, a_col, b_col, A.elements) > 0)
+    a_col, b_col = _pair_columns(A, B)
+    found, inside = _olson_block(table, a_col, b_col, _product_counts(g, a_col, b_col) > 0)
     report = CheckReport("olson")
     report.instances_tested = 1
     if not found.any():
@@ -598,8 +593,6 @@ def construct_counterexample(group: GroupTable) -> CounterexamplePair:
         A = cyclic_subgroup(group, a)
         if len(A) < group.n:
             break
-    else:  # unreachable for composite order; defensive
-        raise NotApplicable("every non-identity element generates the group")
     outsider = min(set(range(group.n)) - A.members)
     B = GroupSubset(group, (A.members - {0}) | {outsider})
     result = find_matching(A, B)

@@ -73,6 +73,27 @@ class TestMatchCommand:
         assert "exceeds cap 5040" in out
 
 
+    def test_directory_as_group_is_input_error(self, capsys, tmp_path):
+        code, out = run(capsys, "match", str(tmp_path), "{0}", "{1}")
+        assert code == 2
+        assert out == f"error: cannot read group file {tmp_path}: Is a directory\n"
+        code, out = run(capsys, "match", str(tmp_path), "{0}", "{1}", "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
+    def test_unreadable_table_file_is_input_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "q8.table"
+        save_group_file(make_quaternion(), path)
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code, out = run(capsys, "verify", str(path), "--checks", "kemperman")
+        assert code == 2
+        assert out == f"error: cannot read group file {path}: Permission denied\n"
+
+
 class TestVerifyCommand:
     def test_all_checks_pass_on_c5(self, capsys):
         code, out = run(capsys, "verify", "C5", "--checks", "all")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
@@ -110,9 +112,42 @@ class TestTableValidation:
     def test_array_mirrors_table(self, n, dtype):
         g = make_cyclic(n)
         assert g.array.dtype == dtype and not g.array.flags.writeable
-        assert g.array.tolist() == [list(row) for row in g.table]
-        # one int object per element, shared by every row
-        assert len({id(x) for row in g.table for x in row}) == n
+        assert g.table is g.array
+
+    @pytest.mark.parametrize("n", [1, 256, 257])
+    def test_mul_returns_python_ints(self, n):
+        # Reports serialize what mul returns, so it must be a plain int.
+        g = make_cyclic(n)
+        assert type(g.mul(n - 1, n - 1)) is int and g.mul(n - 1, n - 1) == (2 * n - 2) % n
+        loaded = loads_group(dumps_group(make_quaternion()))
+        assert type(loaded.mul(1, 2)) is int and loaded.mul(1, 2) == 3
+
+    @pytest.mark.parametrize("spec", ["Q8", "C2xC4", "C300"])
+    def test_pickle_and_deepcopy_round_trip(self, spec):
+        g = parse_group_spec(spec)
+        if g.names is None:
+            g = GroupTable(g.array, names=[f"e{i}" for i in range(g.n)], name=g.name)
+        for again in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert again == g and again is not g
+            assert (again.names, again.name) == (g.names, spec)
+            assert [again.mul(a, 3) for a in range(g.n)] == [g.mul(a, 3) for a in range(g.n)]
+
+    def test_equal_tables_hash_equal(self):
+        c6 = make_cyclic(6)
+        for same in (loads_group(dumps_group(c6)), GroupTable(c6.array.tolist(), name="other")):
+            assert same == c6 and hash(same) == hash(c6)
+        assert c6 != parse_group_spec("S3") and c6 != make_cyclic(5)
+
+    @pytest.mark.parametrize("spec", ["C2000", "D1000"])
+    def test_construction_peak_stays_near_one_table(self, spec):
+        array = parse_group_spec(spec).array
+        tracemalloc.start()
+        try:
+            GroupTable(array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * array.nbytes, peak / array.nbytes
 
 
 class TestFamilies:
@@ -280,7 +315,7 @@ class TestFileFormat:
         for g in catalog():
             again = loads_group(dumps_group(g))
             assert again.n == g.n
-            assert again.table == g.table
+            assert again == g and (again.array == g.array).all()
             assert again.names == g.names
 
     def test_comma_separated_rows(self):

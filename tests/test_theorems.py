@@ -45,7 +45,7 @@ from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, _bits, _mask_matches, _ma
 from groupmatch.reports import elements_json
 from groupmatch.subsets import product_set, unique_products
 from groupmatch.theorems import (PAIR_BLOCK, PROPERTY_EXHAUSTIVE_CAP, _automatching_instance,
-                                 _column, _columns, _pair_masks, _product_counts, _property_record,
+                                 _columns, _pair_masks, _product_counts, _property_record,
                                  _sampled_pairs, _sized_pairs)
 
 
@@ -162,9 +162,8 @@ class TestProductKernel:
         else:
             instances = [(subset(g, a), subset(g, b)) for a, b in pairs]
         for A, B in instances:
-            # Only the steps for a in A are taken, as the single-pair checks do.
-            count = _product_counts(g, _column(g, A.elements), _column(g, B.elements),
-                                    A.elements)[:, 0]
+            masks = [sum(1 << x for x in S) for S in (A, B)]
+            count = _product_counts(g, _columns(masks[:1], g.n), _columns(masks[1:], g.n))[:, 0]
             assert np.flatnonzero(count).tolist() == list(product_set(A, B).elements)
             assert (np.flatnonzero(count == 1).tolist()
                     == [w.value for w in unique_products(A, B)])
