@@ -544,8 +544,9 @@ def save_group_file(group: GroupTable, path):
     Path(path).write_text(dumps_group(group), encoding="utf-8")
 
 
-# Named groups used throughout the test batteries: all orders <= 10 plus
-# a few composite shapes beyond.
+# Named groups used throughout the test batteries, of orders 2 to 10: 16
+# of the 17 isomorphism classes there (C3xC3 is missing), with S3 listed
+# beside D3, the same group.
 CATALOG_SPECS = (
     "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10",
     "C2xC2", "C2xC4", "C2xC2xC2", "D3", "D4", "D5", "Q8", "S3",

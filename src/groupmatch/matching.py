@@ -8,7 +8,7 @@ matchability graph; non-existence is certified by a Hall violator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,13 +34,32 @@ def _bits(mask: int) -> list:
     return out
 
 
+@lru_cache(maxsize=16)
+def _right_bits(m: int) -> tuple[int, ...]:
+    """The single-bit mask of each right position j < m: 1 << (m - 1 - j)."""
+    return tuple(1 << p for p in range(m - 1, -1, -1))
+
+
+def _positions(row: int, m: int) -> list:
+    """The right positions of a row over m vertices, ascending."""
+    out = []
+    while row:
+        p = row.bit_length()
+        out.append(m - p)
+        row ^= 1 << (p - 1)
+    return out
+
+
 @dataclass(frozen=True)
 class MatchabilityGraph:
     """Bipartite graph on A and B with an edge (a, b) iff a*b is not in A.
 
-    Bit j of ``rows[i]`` is set iff ``left[i]`` may be matched to
-    ``right[j]``.  ``adjacency[i]`` lists the same positions as an
-    ascending tuple; it is derived from ``rows`` on first read.
+    Rows are stored most significant bit first: with m = len(right), bit
+    m - 1 - j of ``rows[i]`` is set iff ``left[i]`` may be matched to
+    ``right[j]``.  The lowest candidate of a row is then m minus its
+    ``bit_length()``, which Kuhn's search reads in one step.
+    ``adjacency[i]`` lists the positions j as an ascending tuple; it is
+    derived from ``rows`` on first read.
     """
 
     left: tuple
@@ -49,7 +68,8 @@ class MatchabilityGraph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_bits(row)) for row in self.rows)
+        m = len(self.right)
+        return tuple(tuple(_positions(row, m)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -85,7 +105,7 @@ class VerifyResult:
 
 def _python_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
     mul, members = A.group.mul, A.members
-    bits = [1 << j for j in range(len(B))]
+    bits = _right_bits(len(B))
     rows = []
     for a in A.elements:
         row = 0
@@ -98,10 +118,11 @@ def _python_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
 
 def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
     # One gather of the products from the Cayley table, one lookup of
-    # membership in A, each row packed little-endian: bit j is B.elements[j].
+    # membership in A, each row packed little-endian over B reversed, so
+    # that bit m - 1 - j is B.elements[j].
     in_A = np.zeros(A.group.n, dtype=bool)
     in_A[list(A.elements)] = True
-    products = A.group.array[np.ix_(A.elements, B.elements)]
+    products = A.group.array[np.ix_(A.elements, B.elements[::-1])]
     packed = np.packbits(~in_A[products], axis=1, bitorder="little")
     width, data = packed.shape[1], packed.tobytes()
     return tuple(int.from_bytes(data[i:i + width], "little")
@@ -126,27 +147,35 @@ def _maximum_matching(graph: MatchabilityGraph) -> tuple[list, list]:
     The depth-first search keeps its own stack, so path length is not
     bounded by the recursion limit.  Each step takes the lowest right
     vertex of ``rows[u] & unvisited``, which is where an ascending scan of
-    the row would resume.  A failed search leaves the matching unchanged
+    the row would resume; as rows are stored most significant bit first,
+    that vertex is m minus the ``bit_length()`` of the candidates, and its
+    bit is read from a tuple cached per width m rather than built by a
+    shift on every step.  A failed search leaves the matching unchanged
     and every right vertex it visited reaches only matched vertices it
     also visited, so the visited marks carry over to the next root and are
     reset only after an augmentation; the matching found is the same as
     with fresh marks per root.
     """
-    rows = graph.rows
+    rows, m = graph.rows, len(graph.right)
+    bit = _right_bits(m)
     match_left: list[int | None] = [None] * len(graph.left)
-    match_right: list[int | None] = [None] * len(graph.right)
-    all_right = unvisited = (1 << len(graph.right)) - 1
+    match_right: list[int | None] = [None] * m
+    all_right = unvisited = (1 << m) - 1
     for root in range(len(rows)):
-        # lefts[k + 1] is the partner of the right vertex taken from lefts[k].
+        # lefts[k + 1] is the partner of the right vertex taken from lefts[k];
+        # u is the last of them.
         lefts = [root]
-        while lefts:
-            avail = rows[lefts[-1]] & unvisited
+        u = root
+        while True:
+            avail = rows[u] & unvisited
             if not avail:
                 lefts.pop()
+                if not lefts:
+                    break
+                u = lefts[-1]
                 continue
-            low = avail & -avail
-            unvisited ^= low
-            v = low.bit_length() - 1
+            v = m - avail.bit_length()
+            unvisited ^= bit[v]
             w = match_right[v]
             if w is None:
                 # Flip the path: each left vertex takes the right vertex
@@ -157,6 +186,7 @@ def _maximum_matching(graph: MatchabilityGraph) -> tuple[list, list]:
                 unvisited = all_right
                 break
             lefts.append(w)
+            u = w
     return match_left, match_right
 
 
@@ -164,15 +194,17 @@ def _extract_violator(group, graph: MatchabilityGraph,
                       match_left, match_right) -> HallViolator:
     # Alternating BFS from every unmatched left vertex; the reachable left
     # vertices form a Hall violator once the matching is maximum.  Each row
-    # contributes the bits not reached before it, in ascending order; each
-    # right vertex is reached once, so each matched partner is queued once.
+    # contributes the positions not reached before it, ascending, that is
+    # from its highest bit down; each right vertex is reached once, so each
+    # matched partner is queued once.
+    m = len(graph.right)
     reach_left = [u for u, v in enumerate(match_left) if v is None]
     reach_right: list[int] = []
     reached = 0
     for u in reach_left:
         new = graph.rows[u] & ~reached
         reached |= new
-        for v in _bits(new):
+        for v in _positions(new, m):
             reach_right.append(v)
             w = match_right[v]
             if w is not None:
@@ -211,15 +243,17 @@ def _graph_result(group, graph: MatchabilityGraph):
 
 
 def _stay_tables(group: GroupTable) -> list:
-    """``stay[a][k][v]`` is the mask of the x with a*x in {8k + j : bit j
-    of v set}.  Distinct products have distinct x, so the entries that the
-    bytes of A's mask pick from ``stay[a]`` sum to the mask of
+    """``stay[a][k][v]`` is the mask, with element x at bit n - 1 - x as in
+    the graph rows, of the x with a*x in {8k + j : bit j of v set}.
+    Distinct products have distinct x, so the entries that the bytes of
+    A's little-endian mask pick from ``stay[a]`` sum to the mask of
     {x : a*x in A}.  Row a of the argsort of the Cayley table maps y to
     a⁻¹y, the x with a*x = y."""
-    width = (group.n + 7) // 8
+    n = group.n
+    width = (n + 7) // 8
     stay = []
     for row in np.argsort(group.array, axis=1).tolist():
-        back = [1 << x for x in row] + [0] * (8 * width - group.n)
+        back = [1 << (n - 1 - x) for x in row] + [0] * (8 * width - n)
         tables = []
         for k in range(width):
             table = [0]
@@ -233,11 +267,15 @@ def _stay_tables(group: GroupTable) -> list:
 
 def _mask_graph(stay, a_els, a_mask: int, b_mask: int) -> MatchabilityGraph:
     """The matchability graph of A, given by its ascending elements and its
-    mask, into B, given by its mask.  Row a is B minus {x : a*x in A}, one
-    table lookup per byte of A's mask, with bit x for element x, so Kuhn's
-    scan follows the ascending order of B."""
-    a_bytes = a_mask.to_bytes(len(stay[0]), "little")
-    rows = tuple([b_mask & ~sum(map(list.__getitem__, stay[a], a_bytes)) for a in a_els])
+    mask, into B, given by its mask; both masks have bit x for element x.
+    The right side is the whole group, so element x is at bit n - 1 - x of
+    a row.  B's mask is moved to that layout through the identity's
+    tables, ``stay[0]``; row a is then B minus {x : a*x in A}, one table
+    lookup per byte of A's mask."""
+    width = len(stay[0])
+    b_rows = sum(map(list.__getitem__, stay[0], b_mask.to_bytes(width, "little")))
+    a_bytes = a_mask.to_bytes(width, "little")
+    rows = tuple([b_rows & ~sum(map(list.__getitem__, stay[a], a_bytes)) for a in a_els])
     return MatchabilityGraph(left=a_els, right=range(len(stay)), rows=rows)
 
 

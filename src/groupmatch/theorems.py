@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -346,14 +347,18 @@ def sweep_corollary(group: GroupTable, *,
 # Subgroup-invariant subset bound
 
 
-def _orbit_table(group: GroupTable, subgroups) -> tuple:
+@lru_cache(maxsize=32)
+def _orbit_table(group: GroupTable, subgroup_cap: int) -> tuple:
     """The witness searches in order, each subgroup H with its left orbits Ht
-    before its right orbits tH.  Returns (searches, indicator, edges):
+    before its right orbits tH; cached per group and cap, since every Olson
+    check searches them all, for more groups than the 20 that the catalog
+    benchmark cycles through.  Returns (searches, indicator, edges):
     ``searches[s]`` is (H's elements, side); ``indicator`` has one 0/1 row
     per orbit over the elements, and the rows of search s run from
     ``edges[s]`` to ``edges[s + 1]``.  Each element is labelled by the least
     element of its orbit, so an orbit is named by the one element that is
     its own label."""
+    subgroups = enumerate_subgroups(group, subgroup_cap)
     n, arr = group.n, group.array
     member = np.zeros((len(subgroups), n, 1), bool)
     for i, H in enumerate(subgroups):
@@ -366,8 +371,11 @@ def _orbit_table(group: GroupTable, subgroups) -> tuple:
     # float32, so that the product with AB runs on BLAS; it counts at most n
     # elements per orbit, well inside the integers float32 holds exactly.
     indicator = (labels[search] == root[:, None]).astype(np.float32)
-    searches = [(H.elements, side) for H in subgroups for side in ("left", "right")]
-    return searches, indicator, np.searchsorted(search, np.arange(len(searches) + 1))
+    searches = tuple((H.elements, side) for H in subgroups for side in ("left", "right"))
+    edges = np.searchsorted(search, np.arange(len(searches) + 1))
+    # The cache shares these arrays between calls.
+    indicator.flags.writeable = edges.flags.writeable = False
+    return searches, indicator, edges
 
 
 def _olson_block(table: tuple, A, B, ab) -> tuple:
@@ -395,7 +403,7 @@ def check_olson(A: GroupSubset, B: GroupSubset, *,
         raise ValueError("the invariant-subset bound is checked on finite groups only")
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
-    table = _orbit_table(g, enumerate_subgroups(g, subgroup_cap))
+    table = _orbit_table(g, subgroup_cap)
     a_col, b_col = _pair_columns(A, B)
     found, inside = _olson_block(table, a_col, b_col, _product_counts(g, a_col, b_col) > 0)
     report = CheckReport("olson")
@@ -424,7 +432,7 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
     """Witness search over all nonempty pairs (exhaustive up to the cap,
     seeded samples above it)."""
     t0 = perf_counter()
-    table = _orbit_table(group, enumerate_subgroups(group, subgroup_cap))
+    table = _orbit_table(group, subgroup_cap)
     blocks, used_seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
     report = CheckReport("olson", seed=used_seed)
     for A, B in blocks:

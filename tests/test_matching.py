@@ -1,14 +1,18 @@
+import hashlib
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupmatch import (
+    CATALOG_SPECS,
     EmptyInput,
     GroupSubset,
+    GroupTable,
     HallViolator,
     IdentityInB,
     LatticeGroup,
@@ -21,10 +25,12 @@ from groupmatch import (
     make_cyclic,
     make_dihedral,
     make_quaternion,
+    parse_group_spec,
     verify_matching,
 )
 from groupmatch import matching
-from groupmatch.matching import TABLE_ROWS_MIN_CELLS, _maximum_matching
+from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, _mask_matches, _mask_result,
+                                 _maximum_matching, _stay_tables)
 from groupmatch.subsets import candidate_set
 
 SMALL_GROUPS = [make_cyclic(4), make_cyclic(5), make_cyclic(6), make_dihedral(3), make_quaternion()]
@@ -42,9 +48,11 @@ def admissible_pairs(group, max_size):
     """All (A, B) with |A| = |B| <= max_size and the identity outside B."""
     n = group.n
     for k in range(1, min(max_size, n - 1) + 1):
-        for a_els in itertools.combinations(range(n), k):
-            for b_els in itertools.combinations(range(1, n), k):
-                yield GroupSubset(group, a_els), GroupSubset(group, b_els)
+        subsets = [GroupSubset(group, els) for els in itertools.combinations(range(n), k)]
+        for A in subsets:
+            for B in subsets:
+                if group.identity not in B:
+                    yield A, B
 
 
 class TestBuildGraph:
@@ -81,11 +89,14 @@ class TestBuildGraph:
         A = GroupSubset(group, a_els)
         B = GroupSubset(group, b_els)
         g = build_graph(A, B)
+        m = len(g.right)
         for i, a in enumerate(g.left):
             candidates = candidate_set(A, B, a).elements
             row = tuple(g.right[j] for j in g.adjacency[i])
             assert row == candidates
-            assert g.rows[i] == sum(1 << g.right.index(x) for x in candidates)
+            assert g.rows[i] == sum(1 << (m - 1 - g.right.index(x)) for x in candidates)
+        # perfbench's tracer counts edges through adjacency.
+        assert sum(len(r) for r in g.adjacency) == sum(r.bit_count() for r in g.rows)
 
     @pytest.mark.parametrize("group", [make_quaternion(), make_dihedral(32), make_cyclic(64),
                                        make_cyclic(512)], ids=["q8", "d32", "c64", "c512"])
@@ -357,3 +368,124 @@ class TestBruteForce:
         A, B = GroupSubset(g, a_els), GroupSubset(g, b_els)
         engine = isinstance(find_matching(A, B), Matching)
         assert engine == (brute_force_matching(A, B) is not None)
+
+
+def _lsb_rows(A, B):
+    """Rows with bit j marking B.elements[j], least significant bit first."""
+    if isinstance(A.group, GroupTable) and len(A) * len(B) >= TABLE_ROWS_MIN_CELLS:
+        in_A = np.zeros(A.group.n, dtype=bool)
+        in_A[list(A.elements)] = True
+        keep = ~in_A[A.group.array[np.ix_(A.elements, B.elements)]]
+        return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                for row in keep]
+    mul, members = A.group.mul, A.members
+    return [sum(1 << j for j, x in enumerate(B.elements) if mul(a, x) not in members)
+            for a in A.elements]
+
+
+def _lsb_kuhn(rows, m):
+    """Kuhn's search on least-significant-bit-first rows, taking the lowest
+    candidate as ``avail & -avail``: the engine's loop before its rows were
+    stored most-significant-bit first, kept as the reference."""
+    match_left = [None] * len(rows)
+    match_right = [None] * m
+    all_right = unvisited = (1 << m) - 1
+    for root in range(len(rows)):
+        lefts = [root]
+        while lefts:
+            avail = rows[lefts[-1]] & unvisited
+            if not avail:
+                lefts.pop()
+                continue
+            low = avail & -avail
+            unvisited ^= low
+            v = low.bit_length() - 1
+            w = match_right[v]
+            if w is None:
+                for u in reversed(lefts):
+                    match_right[v] = u
+                    match_left[u], v = v, match_left[u]
+                unvisited = all_right
+                break
+            lefts.append(w)
+    return match_left, match_right
+
+
+def _lsb_result(A, B):
+    """find_matching(A, B) computed on least-significant-bit-first rows."""
+    rows = _lsb_rows(A, B)
+    match_left, match_right = _lsb_kuhn(rows, len(B))
+    if None not in match_left:
+        return Matching(pairs=tuple(zip(A.elements, (B.elements[v] for v in match_left))))
+    reach_left = [u for u, v in enumerate(match_left) if v is None]
+    reach_right, reached = [], 0
+    for u in reach_left:
+        new = rows[u] & ~reached
+        reached |= new
+        for v in range(len(B)):
+            if new >> v & 1:
+                reach_right.append(v)
+                if match_right[v] is not None:
+                    reach_left.append(match_right[v])
+    subset = GroupSubset(A.group, (A.elements[u] for u in reach_left))
+    neighborhood = GroupSubset(A.group, (B.elements[v] for v in reach_right))
+    return HallViolator(subset=subset, neighborhood=neighborhood,
+                        deficiency=len(subset) - len(neighborhood))
+
+
+def _result_key(result) -> bytes:
+    if isinstance(result, Matching):
+        return repr(("matching", result.pairs)).encode()
+    return repr(("violator", result.subset.elements, result.neighborhood.elements,
+                 result.deficiency)).encode()
+
+
+class TestLsbKuhnEquivalence:
+    """The engine against Kuhn's search on least-significant-bit-first rows."""
+
+    # SHA-256 of every find_matching result below, in order, recorded when
+    # the engine itself still ran the reference loop.
+    DIGEST = "ef215da195783b91b3e256f201feb21f8b5c489abc482f68d56531941aa80383"
+
+    def test_find_matching_equals_reference(self):
+        pairs = []
+        for group in (make_dihedral(256), make_cyclic(512)):
+            n = group.n
+            sizes = [n // 2, int(0.8 * n), int(0.95 * n), int(0.99 * n)]
+            pairs += _seeded_pairs(group, sizes, random.Random(f"lsb/{group.name}"))
+        for spec in CATALOG_SPECS:
+            pairs += admissible_pairs(parse_group_spec(spec), 3)
+        z2, rng = LatticeGroup(2), random.Random("lsb/Z2")
+        points = list(itertools.product(range(-3, 4), repeat=2))
+        nonzero = [p for p in points if p != (0, 0)]
+        for k in range(1, 16):
+            for _ in range(4):
+                pairs.append((GroupSubset(z2, rng.sample(points, k)),
+                              GroupSubset(z2, rng.sample(nonzero, k))))
+        digest, kinds = hashlib.sha256(), set()
+        for A, B in pairs:
+            result = find_matching(A, B)
+            assert result == _lsb_result(A, B)
+            digest.update(_result_key(result))
+            kinds.add((type(A.group), type(result)))
+        # Z^2 is torsion-free, so every identity-free pair there matches.
+        assert kinds == {(GroupTable, Matching), (GroupTable, HallViolator),
+                         (LatticeGroup, Matching)}
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_mask_instances_equal_reference(self):
+        outcomes = set()
+        for spec in ("C8", "Q8", "D6", "C16", "C2xC8", "S4", "D12", "C24"):
+            g = parse_group_spec(spec)
+            stay = _stay_tables(g)
+            rng = random.Random(f"lsb-mask/{spec}")
+            for k in range(1, g.n):
+                for _ in range(6):
+                    a_els = tuple(sorted(rng.sample(range(g.n), k)))
+                    b_els = tuple(sorted(rng.sample(range(1, g.n), k)))
+                    expected = _lsb_result(GroupSubset(g, a_els), GroupSubset(g, b_els))
+                    masks = a_els, sum(1 << a for a in a_els), sum(1 << b for b in b_els)
+                    assert _mask_result(g, stay, *masks) == expected
+                    assert _mask_matches(stay, *masks) == isinstance(expected, Matching)
+                    outcomes.add(type(expected))
+        assert outcomes == {Matching, HallViolator}

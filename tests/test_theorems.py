@@ -39,6 +39,7 @@ from groupmatch import (
     sweep_olson,
     verify_matching,
 )
+from groupmatch import theorems
 from groupmatch.cli import main
 from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, _bits, _mask_matches, _mask_result,
                                  _stay_tables)
@@ -298,6 +299,31 @@ class TestOlson:
         for A, B in all_pairs(g) if pairs is None else seeded_pairs(g, pairs, seed=4):
             assert check_olson(A, B).flagged == reference_olson_flagged(A, B, subgroups)
 
+    def test_subgroups_enumerated_once_per_group_and_cap(self, monkeypatch):
+        calls = []
+
+        def counted(group, max_order):
+            calls.append((group.name, max_order))
+            return enumerate_subgroups(group, max_order)
+
+        monkeypatch.setattr(theorems, "enumerate_subgroups", counted)
+        theorems._orbit_table.cache_clear()
+        c6 = make_cyclic(6)
+        A, B = subset(c6, [1, 2]), subset(c6, [0, 3])
+        first = check_olson(A, B).to_dict()
+        # An equal group built again, and the sweep, reuse the same table.
+        again = make_cyclic(6)
+        assert check_olson(subset(again, [1, 2]), subset(again, [0, 3])).to_dict() == first
+        sweep_olson(again, samples=10)
+        assert calls == [("C6", 24)]
+        check_olson(A, B, subgroup_cap=6)
+        assert calls == [("C6", 24), ("C6", 6)]
+        # A cap the group exceeds raises on every call; nothing is cached.
+        for _ in range(2):
+            with pytest.raises(SizeLimit):
+                check_olson(A, B, subgroup_cap=5)
+        assert len(calls) == 4
+
     def test_sweep_exhaustive_c6(self):
         r = sweep_olson(make_cyclic(6))
         assert r.status == "pass" and r.instances_tested == 63 * 63
@@ -423,7 +449,7 @@ class TestMaskInstancePath:
             a_bytes = a_mask.to_bytes((g.n + 7) // 8, "little")
             in_A = {y for y in g.elements() if a_mask >> y & 1}
             for a in g.elements():
-                expected = sum(1 << x for x in g.elements() if g.mul(a, x) in in_A)
+                expected = sum(1 << (g.n - 1 - x) for x in g.elements() if g.mul(a, x) in in_A)
                 assert sum(table[v] for table, v in zip(stay[a], a_bytes)) == expected
 
 
