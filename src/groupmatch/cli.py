@@ -186,8 +186,7 @@ def _cmd_verify(args) -> int:
     all_passed = all(r.passed for r in reports)
     if args.format == "machine":
         doc = {"schema": MACHINE_SCHEMA, "command": "verify", **_group_doc(group),
-               "seed": args.seed, "jobs": args.jobs,
-               "checks": [r.to_dict() for r in reports],
+               "seed": args.seed, "checks": [r.to_dict() for r in reports],
                "status": "pass" if all_passed else "fail"}
         print(machine_json(doc), end="")
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-MACHINE_SCHEMA = "groupmatch/1"
+MACHINE_SCHEMA = "groupmatch/2"
 _MAX_RECORDS_SHOWN = 10
 
 

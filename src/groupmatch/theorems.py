@@ -1,7 +1,7 @@
 """Desk-scale verification of the matching and sumset theorems.
 
-Each check runs an exhaustive or seeded-random battery of instances and
-returns a CheckReport.  Failure and flagged records are plain dicts with
+Each check runs an exhaustive or seeded-random battery of instances, or
+rechecks one certificate, and returns a CheckReport.  Failure and flagged records are plain dicts with
 JSON-safe values so reports serialize deterministically.
 
 Instance counting conventions: sweep-style checks count every examined
@@ -24,9 +24,9 @@ import numpy as np
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import (HallViolator, Matching, _bits, _brute_force, _mask_matches, _mask_result,
-                       _matching_fault, _stay_tables, brute_force_matching, find_matching,
-                       verify_matching)
+from .matching import (BRUTE_FORCE_CAP, HallViolator, Matching, _bits, _brute_force,
+                       _mask_matches, _mask_result, _matching_fault, _stay_tables,
+                       brute_force_matching, find_matching, verify_matching)
 from .reports import elements_json as _els
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -518,24 +518,81 @@ def _pair_masks(pair) -> tuple:
     return a_els, sum(1 << a for a in a_els), sum(1 << b for b in b_els)
 
 
+def _violator_record(a_els, b_els, violator: HallViolator) -> dict:
+    """The record of an unmatchable pair (A, B) and its Hall violator."""
+    return {"A": _els(a_els), "B": _els(b_els), "S": _els(violator.subset),
+            "neighborhood": _els(violator.neighborhood), "deficiency": violator.deficiency}
+
+
 def _property_record(group, stay, pair) -> dict:
     """The violator record of an unmatchable pair."""
-    result = _mask_result(group, stay, *_pair_masks(pair))
-    return {"A": _els(pair[0]), "B": _els(pair[1]), "S": _els(result.subset),
-            "neighborhood": _els(result.neighborhood), "deficiency": result.deficiency}
+    return _violator_record(*pair, _mask_result(group, stay, *_pair_masks(pair)))
+
+
+def _certificate_fault(group: GroupTable, record: dict) -> str | None:
+    """Why a violator record does not prove that its pair (A, B) admits no
+    matching, or None when it does.  Rechecked from ``group.mul`` alone, not
+    from the engine: (A, B) is an instance, S lies in A, N(S) is recomputed
+    over B, and |S| - |N(S)| is the reported deficiency, at least 1; when
+    |A| is within the brute-force cap, no bijection is valid either."""
+    mul, a_els, b_els, s_els = group.mul, record["A"], record["B"], record["S"]
+    a_set = set(a_els)
+    if len(a_els) != len(b_els) or group.identity in b_els:
+        return "not an instance: |A| differs from |B| or B holds the identity"
+    if not a_set.issuperset(s_els):
+        return "S is not contained in A"
+    neighborhood = [b for b in b_els if any(mul(s, b) not in a_set for s in s_els)]
+    if neighborhood != record["neighborhood"]:
+        return f"N(S) recomputed over B is {neighborhood}"
+    deficiency = len(s_els) - len(neighborhood)
+    if deficiency < 1 or deficiency != record["deficiency"]:
+        return f"|S| - |N(S)| is {deficiency}"
+    if (len(a_els) <= BRUTE_FORCE_CAP
+            and _brute_force(GroupSubset(group, a_els), GroupSubset(group, b_els)) is not None):
+        return "the brute-force oracle finds a matching"
+    return None
+
+
+def _failing_pairs(group: GroupTable, instances) -> tuple:
+    """(pairs tested, pairs failed, record of the minimal failing pair or
+    None) over the instances.  The minimal pair is the least by |A|, then
+    lexicographically; its record is the only one built."""
+    stay = _stay_tables(group)
+    tested, failed, least = 0, 0, None
+    for pair in instances:
+        tested += 1
+        if not _mask_matches(stay, *_pair_masks(pair)):
+            failed += 1
+            key = (len(pair[0]), pair)
+            if least is None or key < least:
+                least = key
+    return tested, failed, None if least is None else _property_record(group, stay, least[1])
 
 
 def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES, seed: int = 0,
                             order_cap: int = DEFAULT_PROPERTY_ORDER_CAP) -> CheckReport:
-    """Compare the observed matching property with the classification.
+    """Compare the observed matching property with the classification,
+    over pairs (A, B) with |A| = |B| and the identity outside B.
 
-    Sweeps all pairs (A, B) with |A| = |B| and identity outside B
-    (exhaustively up to ``PROPERTY_EXHAUSTIVE_CAP``, seeded samples above)
-    and requires the outcome to equal the predicted matching property.  When pairs fail,
-    they are counted, and the minimal failing pair (by |A|, then
-    lexicographically) is flagged; its record is the only one built.  A
-    run that tests no pair (``samples=0`` above the exhaustive cap) compares
-    nothing and finishes skipped.
+    The ``mode`` of the outcome record depends on the order:
+
+    - ``exhaustive`` up to ``PROPERTY_EXHAUSTIVE_CAP``: every pair is
+      tested, and ``property_holds`` says whether all of them match.
+    - ``certificate`` above it, at a composite order, where one unmatchable
+      pair proves that the property fails: the pair of
+      ``construct_counterexample``, the one instance tested, whose Hall
+      violator is rechecked by ``_certificate_fault`` before it is
+      reported.  A record that fails the recheck is a failure and refutes
+      nothing.
+    - ``sampled`` above it, at a prime order: ``samples`` seeded pairs.  A
+      failing pair refutes the property; none leaves ``property_holds``
+      null, meaning "not refuted".
+
+    Failing pairs are counted, and the minimal one is flagged (see
+    ``_failing_pairs``).  A run that tests no pair (``samples=0`` at a
+    prime order above the cap) finishes skipped with ``property_holds``
+    null.  A verdict that differs from the prediction is a classification
+    mismatch.
     """
     t0 = perf_counter()
     _check_samples(samples)
@@ -544,29 +601,36 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
         raise SizeLimit("matching-property sweep", n, order_cap)
     predicted = classify(group).predicted_matching_property
     if n <= PROPERTY_EXHAUSTIVE_CAP:
+        mode, used_seed = "exhaustive", None
         instances = (
             (a_els, b_els)
             for k in range(1, n)
             for a_els in itertools.combinations(range(n), k)
             for b_els in itertools.combinations(range(1, n), k)
         )
-        used_seed, mode = None, "exhaustive"
-    else:
+    elif predicted:
+        mode, used_seed = "sampled", seed
         instances = _sized_pairs(n, n - 1, samples, seed)
-        used_seed, mode = seed, "sampled"
+    else:
+        mode, used_seed = "certificate", None
 
     report = CheckReport("matching-property", seed=used_seed)
-    stay = _stay_tables(group)
-    failed, least = 0, None
-    for pair in instances:
-        report.instances_tested += 1
-        if not _mask_matches(stay, *_pair_masks(pair)):
-            failed += 1
-            key = (len(pair[0]), pair)
-            if least is None or key < least:
-                least = key
-    property_holds = not failed
-    minimal = None if least is None else _property_record(group, stay, least[1])
+    if mode == "certificate":
+        pair = construct_counterexample(group)
+        minimal = _violator_record(pair.left, pair.right, pair.violator)
+        report.instances_tested, failed = 1, 1
+        why = _certificate_fault(group, minimal)
+        if why is not None:
+            report.failures.append({"kind": "invalid-certificate", **minimal, "why": why})
+            failed, minimal = 0, None
+    else:
+        report.instances_tested, failed, minimal = _failing_pairs(group, instances)
+    if failed:
+        property_holds = False
+    elif mode == "exhaustive" and report.instances_tested:
+        property_holds = True
+    else:
+        property_holds = None     # not refuted
     report.flagged.append({
         "kind": "matching-property-outcome",
         "mode": mode,
@@ -575,7 +639,7 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
         "pairs_failed": failed,
         "counterexample": minimal,
     })
-    if report.instances_tested and property_holds != predicted:
+    if property_holds is not None and property_holds != predicted:
         report.failures.append({
             "kind": "classification-mismatch",
             "predicted": predicted,

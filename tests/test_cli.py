@@ -180,6 +180,13 @@ class TestVerifyCommand:
         code, _ = run(capsys, "verify", "Z^2")
         assert code == 2
 
+    def test_verify_envelope_has_no_jobs_field(self, capsys):
+        code, out = run(capsys, "verify", "C4", "--checks", "kemperman", "--jobs", "1",
+                        "--format", "machine")
+        doc = json.loads(out)
+        assert code == 0 and doc["schema"] == "groupmatch/2"
+        assert sorted(doc) == ["checks", "command", "group", "order", "schema", "seed", "status"]
+
     def test_machine_reports_are_byte_identical(self, capsys):
         args = ("verify", "C4", "--checks", "kemperman,matching-property,hall",
                 "--seed", "11", "--jobs", "1", "--format", "machine")
@@ -198,23 +205,26 @@ class TestVerifyCommand:
     # gathers from the numpy table), and before the product-set sweeps ran
     # as array blocks (C14 and D5 sample their pairs above the exhaustive cap),
     # and before the sweeps built their rows from per-byte stay tables (S4 is
-    # the one catalog path whose masks take three bytes).
+    # the one catalog path whose masks take three bytes), and before the
+    # groupmatch/2 schema dropped "jobs" and certified the composite orders
+    # above 7 (Q8, D6, C14, S4 and C2xC2xC2 changed in matching-property; C6,
+    # C14 and D5 in the envelope alone).
     @pytest.mark.parametrize("spec,checks,digest", [
-        ("C6", "all", "d2376408514ef41f459d475c4db3f6cc4771b09d285692ca0986f040c815dcd6"),
+        ("C6", "all", "94e74fdf7994dd5a4ac2591cd3a990438bed126e879a6fa90007a32ef68a9742"),
         ("Q8", "kemperman,olson,automatching,matching-property,hall",
-         "f347da3c64ef2fe9902cd37aa830d3e54736d3c9530f6cfdb4969018ef6d006d"),
+         "f5de380923bbb9ce1c72e404399702c99402b602161589130b7cfdde44ae826c"),
         ("D6", "automatching,matching-property",
-         "ea3a40b03ede82682cba70062d6c11d9bd539cf56e73e1b50e1dc709a08fec68"),
+         "9e0834978ab26fafd850c79634a21b2c06dc0f718e8048b7d18997986af769fe"),
         ("C14", "automatching,matching-property,hall",
-         "beb81da279ce7aa37cebcd62efc5728e2f5b2d3ad75aeb874529d3d647be1dc4"),
+         "6c3ce7cb2cb3b706f09f70583213f240bdf3360b39a321f03189d7693da57329"),
         ("C14", "kemperman,olson",
-         "26bee95500f87ac794407282346e553522cc9512ee68448f23881e50f6d89715"),
+         "725a330aef8366f24c1adea41b6a9f06e33fa749d914c8f9c4b66ecbd134c1d4"),
         ("D5", "kemperman,olson",
-         "889c227cf7aa363ba89d2a55f26d13cbf70c97181cb25a41cf31ea549e8b0799"),
+         "105842b763c21159797cf4afd491ae35f6da569f726cf276bfffcfab0866b50f"),
         ("S4", "matching-property",
-         "02feedd0e508b01c52576e848c5419aef50230260df52f9c9e18847dbf3e534b"),
+         "219d101c39aa56eb3f9b5cb0405d7097e87af2bd30a02e3707058f25f7ddd7ef"),
         ("C2xC2xC2", "automatching,matching-property,hall",
-         "f84a1932bbe9c6db8892e3222b57152a2d9560c0f1fbe007f37c3b9f92aa88a2"),
+         "8cc4334e05872b7ea044041293485c749edbb7ce0196ba159e42acfbbb558788"),
     ])
     def test_machine_report_digest_is_pinned(self, capsys, spec, checks, digest):
         code, out = run(capsys, "verify", spec, "--checks", checks, "--seed", "7",

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import random
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -469,12 +472,25 @@ class TestMatchingProperty:
     @pytest.mark.parametrize("seed", [0, 7, 11])
     @pytest.mark.parametrize("spec", ["D4", "C2xC4", "C12", "D6"])
     def test_counts_and_minimal_record_match_reference(self, spec, seed):
+        # The sweep kernel on sampled pairs of composite orders, where many
+        # pairs fail; the check itself certifies these groups.
+        g = parse_group_spec(spec)
+        tested, failed, minimal = theorems._failing_pairs(g, _sized_pairs(g.n, g.n - 1, 300, seed))
+        assert tested == 300
+        assert (failed, minimal) == reference_property_outcome(g, 300, seed)
+        assert failed > 0
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("spec", ["C11", "C13"])
+    def test_sampled_prime_order_matches_reference(self, spec, seed):
         g = parse_group_spec(spec)
         assert g.n > PROPERTY_EXHAUSTIVE_CAP
-        out = check_matching_property(g, samples=300, seed=seed).flagged[-1]
-        failed, minimal = reference_property_outcome(g, 300, seed)
-        assert failed > 0
-        assert (out["pairs_failed"], out["counterexample"]) == (failed, minimal)
+        r = check_matching_property(g, samples=300, seed=seed)
+        out = r.flagged[-1]
+        assert (out["pairs_failed"], out["counterexample"]) == reference_property_outcome(g, 300, seed)
+        assert out["pairs_failed"] == 0 and out["counterexample"] is None
+        assert out["mode"] == "sampled" and out["property_holds"] is None
+        assert r.status == "pass" and r.instances_tested == 300
 
     def test_c5_holds_and_agrees(self):
         r = check_matching_property(make_cyclic(5))
@@ -496,10 +512,51 @@ class TestMatchingProperty:
         assert r.status == "pass" and not out["property_holds"]
 
     def test_sampled_mode(self):
-        r = check_matching_property(make_quaternion(), samples=400, seed=9)
-        assert r.status == "pass" and r.seed == 9
+        r = check_matching_property(make_cyclic(13), samples=400, seed=9)
+        assert r.status == "pass" and r.seed == 9 and r.instances_tested == 400
         out = r.flagged[-1]
-        assert out["mode"] == "sampled" and out["pairs_failed"] >= 1
+        assert out["mode"] == "sampled" and out["predicted"]
+        assert out["property_holds"] is None and out["pairs_failed"] == 0
+
+    @pytest.mark.parametrize("spec", ["Q8", "D4"])
+    def test_certificate_mode(self, spec):
+        g = parse_group_spec(spec)
+        pair = construct_counterexample(g)
+        expected = violator_record(pair.left.elements, pair.right.elements, pair.violator)
+        for samples, seed in [(2000, 0), (400, 9), (0, 3)]:
+            r = check_matching_property(g, samples=samples, seed=seed)
+            assert r.status == "pass" and r.seed is None and r.instances_tested == 1
+            assert r.flagged == [{"kind": "matching-property-outcome", "mode": "certificate",
+                                  "predicted": False, "property_holds": False,
+                                  "pairs_failed": 1, "counterexample": expected}]
+
+    @pytest.mark.parametrize("field,value", [
+        ("S", [1, 2]),              # not inside A = {0, 4}
+        ("neighborhood", [4]),      # N(S) is {1}
+        ("deficiency", 2),          # |S| - |N(S)| is 1
+        ("B", [1, 4, 5]),           # |B| differs from |A|
+        ("B", [0, 1]),              # B holds the identity
+    ])
+    def test_certificate_fault_names_a_forged_record(self, field, value):
+        g = make_cyclic(8)
+        record = {"A": [0, 4], "B": [1, 4], "S": [0, 4], "neighborhood": [1], "deficiency": 1}
+        assert theorems._certificate_fault(g, record) is None
+        assert theorems._certificate_fault(g, {**record, field: value}) is not None
+
+    def test_forged_certificate_is_a_failure_record(self, monkeypatch):
+        g = make_cyclic(8)
+        pair = construct_counterexample(g)
+        true = pair.violator.deficiency
+        forged = dataclasses.replace(pair, violator=dataclasses.replace(pair.violator,
+                                                                        deficiency=true + 1))
+        monkeypatch.setattr(theorems, "construct_counterexample", lambda group: forged)
+        r = check_matching_property(g)
+        assert r.status == "fail" and r.instances_tested == 1
+        assert [f["kind"] for f in r.failures] == ["invalid-certificate"]
+        assert r.failures[0]["deficiency"] == true + 1
+        assert r.failures[0]["why"] == f"|S| - |N(S)| is {true}"
+        out = r.flagged[-1]
+        assert (out["mode"], out["property_holds"], out["pairs_failed"]) == ("certificate", None, 0)
 
     def test_outcome_matches_order_predicate_across_catalog(self):
         for g in catalog():
@@ -518,8 +575,46 @@ class TestMatchingProperty:
             check_matching_property(make_cyclic(6), order_cap=3)
 
     def test_zero_samples_is_skipped_not_a_mismatch(self):
-        r = check_matching_property(make_cyclic(8), samples=0)
+        r = check_matching_property(make_cyclic(11), samples=0)
         assert r.status == "skipped" and r.instances_tested == 0 and not r.failures
+        out = r.flagged[-1]
+        assert out["mode"] == "sampled" and out["property_holds"] is None
+
+    def test_trivial_group_tests_no_pair(self):
+        r = check_matching_property(make_cyclic(1))
+        assert r.status == "skipped" and r.flagged[-1]["property_holds"] is None
+
+
+# Composite groups of order 8 to 24 that the spec language builds.
+CERTIFIED_SPECS = [*(f"C{n}" for n in (8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 22, 24)),
+                   *(f"D{m}" for m in range(4, 13)),
+                   "Q8", "S4", "C2xC4", "C2xC2xC2", "C2xC6", "C3xC3", "Q8xC3"]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_certificate_rechecked_from_the_table(spec):
+    """Each composite order is decided by one certificate, which is rechecked
+    here from the Cayley array with Python sets, apart from the engine."""
+    g = parse_group_spec(spec)
+    assert 8 <= g.n <= 24 and not classify(g).predicted_matching_property
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        r = check_matching_property(g)
+        times.append(time.perf_counter() - t0)
+    assert statistics.median(times) < 0.005
+    out = r.flagged[-1]
+    assert r.status == "pass" and not r.failures and r.instances_tested == 1
+    assert (out["mode"], out["property_holds"], out["pairs_failed"]) == ("certificate", False, 1)
+    cert = out["counterexample"]
+    a_set, b_set, s_set = set(cert["A"]), set(cert["B"]), set(cert["S"])
+    assert len(a_set) == len(b_set) and 0 not in b_set and s_set <= a_set
+    table = g.array.tolist()
+    neighborhood = {b for b in b_set if any(table[s][b] not in a_set for s in s_set)}
+    assert neighborhood == set(cert["neighborhood"])
+    assert len(s_set) - len(neighborhood) == cert["deficiency"] >= 1
+    if len(a_set) <= 7:
+        assert brute_force_matching(subset(g, a_set), subset(g, b_set)) is None
 
 
 @pytest.mark.parametrize("sweep", [sweep_kemperman, sweep_olson, check_matching_property,
