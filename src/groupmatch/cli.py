@@ -183,18 +183,24 @@ def _cmd_verify(args) -> int:
             reports.append(_run_check(name, group, args.seed, args.cap_order))
         except SizeLimit as exc:
             raise SizeLimit(f"check {name}: {exc.what}", exc.size, exc.cap) from exc
-    all_passed = all(r.passed for r in reports)
+    # A run in which every check tested nothing is a zero-instance run: exit 2.
+    if not all(r.passed for r in reports):
+        status, code = "fail", 1
+    elif all(r.status == "skipped" for r in reports):
+        status, code = "skipped", 2
+    else:
+        status, code = "pass", 0
     if args.format == "machine":
         doc = {"schema": MACHINE_SCHEMA, "command": "verify", **_group_doc(group),
                "seed": args.seed, "checks": [r.to_dict() for r in reports],
-               "status": "pass" if all_passed else "fail"}
+               "status": status}
         print(machine_json(doc), end="")
     else:
         print(f"group: {group.describe()} (order {group.n})")
         for r in reports:
             print("\n".join(render_check(r)))
-        print(f"overall: {'PASS' if all_passed else 'FAIL'}")
-    return 0 if all_passed else 1
+        print(f"overall: {status.upper()}")
+    return code
 
 
 def _cmd_counterexample(args) -> int:

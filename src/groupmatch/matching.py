@@ -103,14 +103,15 @@ class VerifyResult:
         return self.ok
 
 
-def _python_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
-    mul, members = A.group.mul, A.members
-    bits = _right_bits(len(B))
+def _python_rows(mul, a_els, a_set, b_els) -> tuple[int, ...]:
+    """The graph rows of A, given by its ascending elements and its set, over
+    B's ascending elements, from the group law ``mul``."""
+    bits = _right_bits(len(b_els))
     rows = []
-    for a in A.elements:
+    for a in a_els:
         row = 0
-        for x, bit in zip(B.elements, bits):
-            if mul(a, x) not in members:
+        for x, bit in zip(b_els, bits):
+            if mul(a, x) not in a_set:
                 row |= bit
         rows.append(row)
     return tuple(rows)
@@ -137,7 +138,7 @@ def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
     if isinstance(g, GroupTable) and len(A) * len(B) >= TABLE_ROWS_MIN_CELLS:
         rows = _table_rows(A, B)
     else:
-        rows = _python_rows(A, B)
+        rows = _python_rows(g.mul, A.elements, A.members, B.elements)
     return MatchabilityGraph(left=A.elements, right=B.elements, rows=rows)
 
 
@@ -329,24 +330,24 @@ def brute_force_matching(A: GroupSubset, B: GroupSubset):
         raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
     if len(A) > BRUTE_FORCE_CAP:
         raise SizeLimit("brute-force bijection scan", len(A), BRUTE_FORCE_CAP)
-    return _brute_force(A, B)
+    return _brute_force(g.mul, A.elements, A.members, B.elements)
 
 
-def _brute_force(A: GroupSubset, B: GroupSubset):
-    """brute_force_matching after its input checks."""
-    lefts, mul, members = A.elements, A.group.mul, A.members
+def _brute_force(mul, a_els, a_set, b_els):
+    """brute_force_matching after its input checks, on A's ascending
+    elements and set and B's ascending elements, from the group law ``mul``."""
 
     def extend(image: tuple, free: tuple):
         # free is B minus image, ascending, so images are tried in order.
         if not free:
             return image
-        a = lefts[len(image)]
+        a = a_els[len(image)]
         for i, b in enumerate(free):
-            if mul(a, b) not in members:
+            if mul(a, b) not in a_set:
                 found = extend(image + (b,), free[:i] + free[i + 1:])
                 if found is not None:
                     return found
         return None
 
-    image = extend((), B.elements)
-    return None if image is None else Matching(pairs=tuple(zip(lefts, image)))
+    image = extend((), b_els)
+    return None if image is None else Matching(pairs=tuple(zip(a_els, image)))

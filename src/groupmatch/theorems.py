@@ -24,9 +24,10 @@ import numpy as np
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import (BRUTE_FORCE_CAP, HallViolator, Matching, _bits, _brute_force,
-                       _mask_matches, _mask_result, _matching_fault, _stay_tables,
-                       brute_force_matching, find_matching, verify_matching)
+from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
+                       _brute_force, _mask_matches, _mask_result, _matching_fault,
+                       _maximum_matching, _python_rows, _stay_tables, brute_force_matching,
+                       find_matching, verify_matching)
 from .reports import elements_json as _els
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -547,8 +548,7 @@ def _certificate_fault(group: GroupTable, record: dict) -> str | None:
     deficiency = len(s_els) - len(neighborhood)
     if deficiency < 1 or deficiency != record["deficiency"]:
         return f"|S| - |N(S)| is {deficiency}"
-    if (len(a_els) <= BRUTE_FORCE_CAP
-            and _brute_force(GroupSubset(group, a_els), GroupSubset(group, b_els)) is not None):
+    if len(a_els) <= BRUTE_FORCE_CAP and _brute_force(mul, a_els, a_set, b_els) is not None:
         return "the brute-force oracle finds a matching"
     return None
 
@@ -758,31 +758,33 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
-    return _cross_validate(A, B)
+    return _cross_validate(g.mul, A.elements, A.members, B.elements)
 
 
-def _cross_validate(A: GroupSubset, B: GroupSubset) -> bool:
-    """cross_validate_hall after its input checks."""
-    engine_ok = isinstance(find_matching(A, B), Matching)
-    brute_ok = _brute_force(A, B) is not None
+def _cross_validate(mul, a_els, a_set, b_els) -> bool:
+    """cross_validate_hall after its input checks, on A's ascending elements
+    and set and B's ascending elements.  The engine route is what
+    find_matching runs at |A|*|B| <= 25 < TABLE_ROWS_MIN_CELLS cells."""
+    rows = _python_rows(mul, a_els, a_set, b_els)
+    engine_ok = None not in _maximum_matching(MatchabilityGraph(a_els, b_els, rows))[0]
+    brute_ok = _brute_force(mul, a_els, a_set, b_els) is not None
 
     # Row masks over B, one per s in A, each built from the group law on its own.
-    mul, a_set, b_els = A.group.mul, A.members, B.elements
-    cand = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) not in a_set) for s in A]
-    stay = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) in a_set) for s in A]
+    cand = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) not in a_set) for s in a_els]
+    stay = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) in a_set) for s in a_els]
     # Both forms of S extend those of S minus its lowest member, index i.
-    union, inter = [0] * (1 << len(A)), [(1 << len(B)) - 1] * (1 << len(A))
+    union, inter = [0] * (1 << len(a_els)), [(1 << len(b_els)) - 1] * (1 << len(a_els))
     hall_ok = True
-    for mask in range(1, 1 << len(A)):
+    for mask in range(1, 1 << len(a_els)):
         low = mask & -mask
         i = low.bit_length() - 1
         union[mask] = union[mask ^ low] | cand[i]
         inter[mask] = inter[mask ^ low] & stay[i]
         size = mask.bit_count()
         union_ok = union[mask].bit_count() >= size
-        inter_ok = inter[mask].bit_count() <= len(A) - size
+        inter_ok = inter[mask].bit_count() <= len(a_els) - size
         if union_ok != inter_ok:
-            s_els = [A.elements[i] for i in _bits(mask)]
+            s_els = [a_els[i] for i in _bits(mask)]
             raise CrossValidationError(
                 f"Hall forms disagree on S = {s_els}: union {union_ok}, complement {inter_ok}")
         hall_ok = hall_ok and union_ok
@@ -792,15 +794,14 @@ def _cross_validate(A: GroupSubset, B: GroupSubset) -> bool:
     return engine_ok
 
 
-def _hall_instance(group, pair):
+def _hall_instance(mul, pair):
+    """None, or the failure record of a pair of ascending element tuples."""
     a_els, b_els = pair
-    A = GroupSubset(group, a_els)
-    B = GroupSubset(group, b_els)
     try:
-        _cross_validate(A, B)
+        _cross_validate(mul, a_els, frozenset(a_els), b_els)
     except CrossValidationError as exc:
         return {"kind": "cross-validation-disagreement",
-                "A": _els(A), "B": _els(B), "why": str(exc)}
+                "A": _els(a_els), "B": _els(b_els), "why": str(exc)}
     return None
 
 
@@ -812,9 +813,13 @@ def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
     report = CheckReport("hall", seed=seed)
     if group.n < 2:
         return report.finish(t0)
+    # Each distinct pair is decided once; every draw counts, and a failing
+    # pair appends its record at every draw.
+    outcomes = {}
     for pair in _sized_pairs(group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed):
-        outcome = _hall_instance(group, pair)
+        if pair not in outcomes:
+            outcomes[pair] = _hall_instance(group.mul, pair)
         report.instances_tested += 1
-        if outcome is not None:
-            report.failures.append(outcome)
+        if outcomes[pair] is not None:
+            report.failures.append(outcomes[pair])
     return report.finish(t0)

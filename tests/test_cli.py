@@ -232,6 +232,26 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_draw_heavy_hall_digest_is_pinned(self, capsys):
+        # C4 admits 34 Hall pairs, so its 500 draws repeat each of them;
+        # recorded before the Hall sweep decided each distinct pair once.
+        code, out = run(capsys, "verify", "C4", "--checks", "hall", "--seed", "0",
+                        "--format", "machine")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "ec2beb74cf0bae406133b6ff94d4faa7cdefe9db6c45906af4cf263198a615a6")
+
+    def test_run_that_tests_nothing_is_skipped(self, capsys):
+        code, out = run(capsys, "verify", "C1", "--checks", "hall")
+        assert code == 2 and "overall: SKIPPED" in out
+        code, out = run(capsys, "verify", "C1", "--checks", "hall", "--format", "machine")
+        assert code == 2 and json.loads(out)["status"] == "skipped"
+        # One check that tests an instance makes the run a pass.
+        code, out = run(capsys, "verify", "C1", "--checks", "kemperman,hall", "--format", "machine")
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == "pass"
+        assert [c["status"] for c in doc["checks"]] == ["pass", "skipped"]
+
 
 class TestParserReuse:
     """main builds its parser once per process; a call must not see what an

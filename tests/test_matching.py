@@ -111,7 +111,8 @@ class TestBuildGraph:
             for _ in range(3):
                 A = GroupSubset(group, rng.sample(range(group.n), k))
                 B = GroupSubset(group, rng.sample(range(1, group.n), k))
-                assert matching._table_rows(A, B) == matching._python_rows(A, B)
+                assert matching._table_rows(A, B) == matching._python_rows(
+                    group.mul, A.elements, A.members, B.elements)
                 if k in (below, at):
                     # Default path first, then the other builder forced.
                     result = find_matching(A, B)

@@ -47,8 +47,9 @@ from groupmatch.cli import main
 from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, _bits, _mask_matches, _mask_result,
                                  _stay_tables)
 from groupmatch.reports import elements_json
-from groupmatch.subsets import product_set, unique_products
-from groupmatch.theorems import (PAIR_BLOCK, PROPERTY_EXHAUSTIVE_CAP, _automatching_instance,
+from groupmatch.subsets import candidate_set, product_set, stable_set, unique_products
+from groupmatch.theorems import (DEFAULT_HALL_SAMPLES, HALL_MAX_SIZE, PAIR_BLOCK,
+                                 PROPERTY_EXHAUSTIVE_CAP, _automatching_instance,
                                  _columns, _pair_masks, _product_counts, _property_record,
                                  _sampled_pairs, _sized_pairs)
 
@@ -713,6 +714,30 @@ class TestLatticeMatching:
         assert a == b
 
 
+def reference_hall_report(group, samples, seed):
+    """sweep_hall's report from a per-draw loop on GroupSubsets: each draw is
+    decided by find_matching, brute_force_matching and Hall's condition
+    from candidate_set and stable_set, which must all agree."""
+    tested = 0
+    for a_els, b_els in _sized_pairs(group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed):
+        A, B = subset(group, a_els), subset(group, b_els)
+        engine = isinstance(find_matching(A, B), Matching)
+        brute = brute_force_matching(A, B) is not None
+        # The stable set of S is the intersection of those of its members.
+        cand = [candidate_set(A, B, a).members for a in A]
+        stay = [stable_set(A, B, subset(group, [a])).members for a in A]
+        union = inter = True
+        for mask in range(1, 1 << len(A)):
+            S = _bits(mask)
+            union &= len(frozenset().union(*(cand[i] for i in S))) >= len(S)
+            inter &= len(B.members.intersection(*(stay[i] for i in S))) <= len(A) - len(S)
+        assert engine == brute == union == inter, (a_els, b_els)
+        tested += 1
+    return {"check": "hall", "status": "pass" if tested else "skipped",
+            "instances_tested": tested, "instances_skipped": 0, "seed": seed,
+            "failures": [], "flagged": []}
+
+
 class TestHallCrossValidation:
     def test_c4_unmatchable_instance(self):
         c4 = make_cyclic(4)
@@ -756,6 +781,25 @@ class TestHallCrossValidation:
     def test_sweep(self):
         r = sweep_hall(make_dihedral(4), samples=60, seed=3)
         assert r.status == "pass" and r.instances_tested == 60
+
+    @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "C12", "D6", "C14"])
+    def test_sweep_equals_per_draw_reference(self, spec):
+        g = parse_group_spec(spec)
+        for seed in (0, 1, 7):
+            assert (sweep_hall(g, seed=seed).to_dict()
+                    == reference_hall_report(g, DEFAULT_HALL_SAMPLES, seed))
+
+    def test_failing_pair_recorded_at_every_draw(self, monkeypatch):
+        # C2 has two distinct pairs, ({0}, {1}) and ({1}, {1}), so the 500
+        # draws repeat each; none may share another draw's record away.
+        monkeypatch.setattr(theorems, "_brute_force", lambda *args: None)
+        r = sweep_hall(make_cyclic(2), samples=500)
+        draws = [(list(a), list(b)) for a, b in _sized_pairs(2, 1, 500, 0)]
+        assert r.instances_tested == 500 and len(r.failures) == 500
+        assert [(f["A"], f["B"]) for f in r.failures] == draws
+        assert all(f == {"kind": "cross-validation-disagreement", "A": a, "B": b,
+                         "why": "routes disagree: engine=True brute=False hall=True"}
+                   for f, (a, b) in zip(r.failures, draws))
 
 
 class TestReportContract:
