@@ -23,6 +23,7 @@ from .reports import (
     render_check,
     render_matching,
     render_violator,
+    violator_json,
 )
 from .subsets import parse_subset_literal
 from .theorems import (
@@ -121,6 +122,11 @@ def _emit_error(exc: Exception, command: str, machine: bool) -> None:
         print(f"error: {exc}")
 
 
+def _exit_code(status: str) -> int:
+    """The exit code of a report status; "skipped" means nothing was tested."""
+    return {"pass": 0, "fail": 1, "skipped": 2}[status]
+
+
 def _cmd_match(args) -> int:
     group = _resolve_group(args.group)
     A = parse_subset_literal(args.A, group)
@@ -134,9 +140,7 @@ def _cmd_match(args) -> int:
         if matched:
             doc["matching"] = [[element_json(a), element_json(b)] for a, b in result.pairs]
         else:
-            doc["violator"] = {"S": elements_json(result.subset),
-                               "neighborhood": elements_json(result.neighborhood),
-                               "deficiency": result.deficiency}
+            doc["violator"] = violator_json(result)
         print(machine_json(doc), end="")
     else:
         print(f"group: {group.describe()}")
@@ -183,13 +187,13 @@ def _cmd_verify(args) -> int:
             reports.append(_run_check(name, group, args.seed, args.cap_order))
         except SizeLimit as exc:
             raise SizeLimit(f"check {name}: {exc.what}", exc.size, exc.cap) from exc
-    # A run in which every check tested nothing is a zero-instance run: exit 2.
+    # A run in which every check tested nothing is a zero-instance run: skipped.
     if not all(r.passed for r in reports):
-        status, code = "fail", 1
+        status = "fail"
     elif all(r.status == "skipped" for r in reports):
-        status, code = "skipped", 2
+        status = "skipped"
     else:
-        status, code = "pass", 0
+        status = "pass"
     if args.format == "machine":
         doc = {"schema": MACHINE_SCHEMA, "command": "verify", **_group_doc(group),
                "seed": args.seed, "checks": [r.to_dict() for r in reports],
@@ -200,7 +204,7 @@ def _cmd_verify(args) -> int:
         for r in reports:
             print("\n".join(render_check(r)))
         print(f"overall: {status.upper()}")
-    return code
+    return _exit_code(status)
 
 
 def _cmd_counterexample(args) -> int:
@@ -212,9 +216,7 @@ def _cmd_counterexample(args) -> int:
         doc = {"schema": MACHINE_SCHEMA, "command": "counterexample", **_group_doc(group),
                "A": elements_json(pair.left), "B": elements_json(pair.right),
                "generator": element_json(pair.generator), "outsider": element_json(pair.outsider),
-               "violator": {"S": elements_json(pair.violator.subset),
-                            "neighborhood": elements_json(pair.violator.neighborhood),
-                            "deficiency": pair.violator.deficiency}}
+               "violator": violator_json(pair.violator)}
         print(machine_json(doc), end="")
     else:
         print(f"group: {group.describe()} (order {group.n})")
@@ -239,11 +241,7 @@ def _cmd_lattice(args) -> int:
     else:
         print(f"lattice Z^{args.dimension}")
         print("\n".join(render_check(report)))
-    if report.status == "fail":
-        return 1
-    if report.status == "skipped":
-        return 2
-    return 0
+    return _exit_code(report.status)
 
 
 _HANDLERS = {

@@ -117,6 +117,14 @@ def _python_rows(mul, a_els, a_set, b_els) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an int, column j at bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return tuple(int.from_bytes(data[i:i + width], "little")
+                 for i in range(0, len(data), width))
+
+
 def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
     # One gather of the products from the Cayley table, one lookup of
     # membership in A, each row packed little-endian over B reversed, so
@@ -124,10 +132,17 @@ def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
     in_A = np.zeros(A.group.n, dtype=bool)
     in_A[list(A.elements)] = True
     products = A.group.array[np.ix_(A.elements, B.elements[::-1])]
-    packed = np.packbits(~in_A[products], axis=1, bitorder="little")
-    width, data = packed.shape[1], packed.tobytes()
-    return tuple(int.from_bytes(data[i:i + width], "little")
-                 for i in range(0, len(data), width))
+    return _pack_rows(~in_A[products])
+
+
+def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> tuple[int, ...]:
+    """The graph rows of a block of pairs, given as boolean (P, n) matrices
+    whose row p marks the elements of A_p and of B_p: one row per a in A_p,
+    pair by pair, a ascending.  The right side is the whole group, element x
+    at bit n - 1 - x of a row, so row a is B_p minus {x : a*x in A_p}; both
+    are gathered with the columns reversed, from ``group.array``."""
+    p, a = np.nonzero(A)
+    return _pack_rows(B[p, ::-1] & ~A[p[:, None], group.array[a, ::-1]])
 
 
 def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
@@ -241,54 +256,6 @@ def _graph_result(group, graph: MatchabilityGraph):
     if None in match_left:
         return _extract_violator(group, graph, match_left, match_right)
     return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))
-
-
-def _stay_tables(group: GroupTable) -> list:
-    """``stay[a][k][v]`` is the mask, with element x at bit n - 1 - x as in
-    the graph rows, of the x with a*x in {8k + j : bit j of v set}.
-    Distinct products have distinct x, so the entries that the bytes of
-    A's little-endian mask pick from ``stay[a]`` sum to the mask of
-    {x : a*x in A}.  Row a of the argsort of the Cayley table maps y to
-    a⁻¹y, the x with a*x = y."""
-    n = group.n
-    width = (n + 7) // 8
-    stay = []
-    for row in np.argsort(group.array, axis=1).tolist():
-        back = [1 << (n - 1 - x) for x in row] + [0] * (8 * width - n)
-        tables = []
-        for k in range(width):
-            table = [0]
-            for bit in back[8 * k:8 * k + 8]:
-                # Entry v + 2**j is entry v with the x of bit j added.
-                table += [m | bit for m in table]
-            tables.append(table)
-        stay.append(tables)
-    return stay
-
-
-def _mask_graph(stay, a_els, a_mask: int, b_mask: int) -> MatchabilityGraph:
-    """The matchability graph of A, given by its ascending elements and its
-    mask, into B, given by its mask; both masks have bit x for element x.
-    The right side is the whole group, so element x is at bit n - 1 - x of
-    a row.  B's mask is moved to that layout through the identity's
-    tables, ``stay[0]``; row a is then B minus {x : a*x in A}, one table
-    lookup per byte of A's mask."""
-    width = len(stay[0])
-    b_rows = sum(map(list.__getitem__, stay[0], b_mask.to_bytes(width, "little")))
-    a_bytes = a_mask.to_bytes(width, "little")
-    rows = tuple([b_rows & ~sum(map(list.__getitem__, stay[a], a_bytes)) for a in a_els])
-    return MatchabilityGraph(left=a_els, right=range(len(stay)), rows=rows)
-
-
-def _mask_result(group: GroupTable, stay, a_els, a_mask: int, b_mask: int):
-    """What find_matching(A, B) returns, for A and B given as in ``_mask_graph``."""
-    return _graph_result(group, _mask_graph(stay, a_els, a_mask, b_mask))
-
-
-def _mask_matches(stay, a_els, a_mask: int, b_mask: int) -> bool:
-    """Whether a matching A -> B exists, by Kuhn's search alone: no
-    certificate is built."""
-    return None not in _maximum_matching(_mask_graph(stay, a_els, a_mask, b_mask))[0]
 
 
 def _matching_fault(group, a_set, b_set, pairs: tuple) -> str | None:

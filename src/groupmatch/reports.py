@@ -28,6 +28,13 @@ def elements_json(x) -> list:
     return [element_json(e) for e in sorted(elements)]
 
 
+def violator_json(violator) -> dict:
+    """A Hall violator's S, N(S) and deficiency as JSON-safe values."""
+    return {"S": elements_json(violator.subset),
+            "neighborhood": elements_json(violator.neighborhood),
+            "deficiency": violator.deficiency}
+
+
 def format_elements(group, elements) -> str:
     return "{" + ", ".join(group.label(e) for e in elements) + "}"
 

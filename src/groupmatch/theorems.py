@@ -25,10 +25,10 @@ from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
 from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
-                       _brute_force, _mask_matches, _mask_result, _matching_fault,
-                       _maximum_matching, _python_rows, _stay_tables, brute_force_matching,
-                       find_matching, verify_matching)
-from .reports import elements_json as _els
+                       _block_rows, _brute_force, _graph_result, _matching_fault,
+                       _maximum_matching, _python_rows, brute_force_matching, find_matching,
+                       verify_matching)
+from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
 
 DEFAULT_EXHAUSTIVE_PAIR_CAP = 6
@@ -449,14 +449,12 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 # Automatching: a matching A -> A exists iff the identity is outside A
 
 
-def _automatching_instance(group, stay, mask):
-    a_mask = mask << 1
-    a_els = _bits(a_mask)
-    result = _mask_result(group, stay, a_els, a_mask, a_mask)
+def _automatching_instance(group, a_els, rows):
+    """The failure record of A -> A, or None, from A's graph rows over the
+    whole group (see ``_block_rows``)."""
+    result = _graph_result(group, MatchabilityGraph(left=a_els, right=range(group.n), rows=rows))
     if isinstance(result, HallViolator):
-        return {"kind": "automatching-violator", "A": a_els,
-                "S": _els(result.subset), "neighborhood": _els(result.neighborhood),
-                "deficiency": result.deficiency}
+        return {"kind": "automatching-violator", "A": a_els, **violator_json(result)}
     a_set = frozenset(a_els)
     why = _matching_fault(group, a_set, a_set, result.pairs)
     if why is not None:
@@ -484,12 +482,18 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     if n > order_cap:
         raise SizeLimit("automatching sweep", n, order_cap)
     report = CheckReport("automatching")
-    stay = _stay_tables(group)
-    for mask in range(1, 1 << (n - 1)):
-        outcome = _automatching_instance(group, stay, mask)
-        report.instances_tested += 1
-        if outcome is not None:
-            report.failures.append(outcome)
+    masks = range(2, 1 << n, 2)     # every nonempty A without the identity, element 0
+    for lo in range(0, len(masks), PAIR_BLOCK):
+        block = masks[lo:lo + PAIR_BLOCK]
+        A = _columns(block, n).T
+        rows, start = _block_rows(group, A, A), 0
+        report.instances_tested += len(block)
+        for mask in block:
+            a_els = _bits(mask)
+            outcome = _automatching_instance(group, a_els, rows[start:start + len(a_els)])
+            start += len(a_els)
+            if outcome is not None:
+                report.failures.append(outcome)
 
     confirmations = 0
     for k in range(0, min(IDENTITY_CONFIRMATION_CAP - 1, n - 1) + 1):
@@ -513,21 +517,9 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
 # Matching-property classification
 
 
-def _pair_masks(pair) -> tuple:
-    """(A's elements, A's mask, B's mask) of a pair of ascending element tuples."""
-    a_els, b_els = pair
-    return a_els, sum(1 << a for a in a_els), sum(1 << b for b in b_els)
-
-
 def _violator_record(a_els, b_els, violator: HallViolator) -> dict:
     """The record of an unmatchable pair (A, B) and its Hall violator."""
-    return {"A": _els(a_els), "B": _els(b_els), "S": _els(violator.subset),
-            "neighborhood": _els(violator.neighborhood), "deficiency": violator.deficiency}
-
-
-def _property_record(group, stay, pair) -> dict:
-    """The violator record of an unmatchable pair."""
-    return _violator_record(*pair, _mask_result(group, stay, *_pair_masks(pair)))
+    return {"A": _els(a_els), "B": _els(b_els), **violator_json(violator)}
 
 
 def _certificate_fault(group: GroupTable, record: dict) -> str | None:
@@ -555,18 +547,30 @@ def _certificate_fault(group: GroupTable, record: dict) -> str | None:
 
 def _failing_pairs(group: GroupTable, instances) -> tuple:
     """(pairs tested, pairs failed, record of the minimal failing pair or
-    None) over the instances.  The minimal pair is the least by |A|, then
-    lexicographically; its record is the only one built."""
-    stay = _stay_tables(group)
+    None) over the instances, read in blocks of ``PAIR_BLOCK`` pairs.  Each
+    pair is decided by Kuhn's search alone; the minimal pair is the least by
+    |A|, then lexicographically, and its record is the only one built."""
+    n, instances = group.n, iter(instances)
     tested, failed, least = 0, 0, None
-    for pair in instances:
-        tested += 1
-        if not _mask_matches(stay, *_pair_masks(pair)):
-            failed += 1
-            key = (len(pair[0]), pair)
-            if least is None or key < least:
-                least = key
-    return tested, failed, None if least is None else _property_record(group, stay, least[1])
+    while block := list(itertools.islice(instances, PAIR_BLOCK)):
+        A, B = (_columns([sum(1 << x for x in s) for s in side], n).T for side in zip(*block))
+        rows, start = _block_rows(group, A, B), 0
+        tested += len(block)
+        for pair in block:
+            a_els = pair[0]
+            graph = MatchabilityGraph(left=a_els, right=range(n),
+                                      rows=rows[start:start + len(a_els)])
+            start += len(a_els)
+            if None in _maximum_matching(graph)[0]:
+                failed += 1
+                key = (len(a_els), pair)
+                if least is None or key < least:
+                    least = key
+    if least is None:
+        return tested, failed, None
+    a_els, b_els = least[1]
+    violator = find_matching(GroupSubset(group, a_els), GroupSubset(group, b_els))
+    return tested, failed, _violator_record(a_els, b_els, violator)
 
 
 def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES, seed: int = 0,

@@ -29,9 +29,10 @@ from groupmatch import (
     verify_matching,
 )
 from groupmatch import matching
-from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, _mask_matches, _mask_result,
-                                 _maximum_matching, _stay_tables)
+from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, MatchabilityGraph, _block_rows,
+                                 _graph_result, _maximum_matching)
 from groupmatch.subsets import candidate_set
+from groupmatch.theorems import _failing_pairs
 
 SMALL_GROUPS = [make_cyclic(4), make_cyclic(5), make_cyclic(6), make_dihedral(3), make_quaternion()]
 
@@ -478,15 +479,22 @@ class TestLsbKuhnEquivalence:
         outcomes = set()
         for spec in ("C8", "Q8", "D6", "C16", "C2xC8", "S4", "D12", "C24"):
             g = parse_group_spec(spec)
-            stay = _stay_tables(g)
             rng = random.Random(f"lsb-mask/{spec}")
-            for k in range(1, g.n):
-                for _ in range(6):
-                    a_els = tuple(sorted(rng.sample(range(g.n), k)))
-                    b_els = tuple(sorted(rng.sample(range(1, g.n), k)))
-                    expected = _lsb_result(GroupSubset(g, a_els), GroupSubset(g, b_els))
-                    masks = a_els, sum(1 << a for a in a_els), sum(1 << b for b in b_els)
-                    assert _mask_result(g, stay, *masks) == expected
-                    assert _mask_matches(stay, *masks) == isinstance(expected, Matching)
-                    outcomes.add(type(expected))
+            pairs = [(tuple(sorted(rng.sample(range(g.n), k))),
+                      tuple(sorted(rng.sample(range(1, g.n), k))))
+                     for k in range(1, g.n) for _ in range(6)]
+            A, B = (np.zeros((len(pairs), g.n), bool) for _ in "AB")
+            for p, (a_els, b_els) in enumerate(pairs):
+                A[p, list(a_els)] = B[p, list(b_els)] = True
+            rows, start = _block_rows(g, A, B), 0
+            for a_els, b_els in pairs:
+                expected = _lsb_result(GroupSubset(g, a_els), GroupSubset(g, b_els))
+                graph = MatchabilityGraph(left=a_els, right=range(g.n),
+                                          rows=rows[start:start + len(a_els)])
+                start += len(a_els)
+                assert _graph_result(g, graph) == expected
+                failed = isinstance(expected, HallViolator)
+                assert _failing_pairs(g, [(a_els, b_els)])[:2] == (1, int(failed))
+                outcomes.add(type(expected))
+            assert start == len(rows)
         assert outcomes == {Matching, HallViolator}

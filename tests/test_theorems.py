@@ -44,14 +44,14 @@ from groupmatch import (
 )
 from groupmatch import theorems
 from groupmatch.cli import main
-from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, _bits, _mask_matches, _mask_result,
-                                 _stay_tables)
+from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, MatchabilityGraph, _bits, _block_rows,
+                                 _graph_result)
 from groupmatch.reports import elements_json
 from groupmatch.subsets import candidate_set, product_set, stable_set, unique_products
 from groupmatch.theorems import (DEFAULT_HALL_SAMPLES, HALL_MAX_SIZE, PAIR_BLOCK,
                                  PROPERTY_EXHAUSTIVE_CAP, _automatching_instance,
-                                 _columns, _pair_masks, _product_counts, _property_record,
-                                 _sampled_pairs, _sized_pairs)
+                                 _columns, _failing_pairs, _product_counts, _sampled_pairs,
+                                 _sized_pairs)
 
 
 def subset(group, els):
@@ -404,8 +404,24 @@ def violator_record(a_els, b_els, result):
             "deficiency": result.deficiency}
 
 
+def block_rows(group, pairs) -> list:
+    """_block_rows over one block of (a_els, b_els) pairs, split per pair."""
+    A, B = (np.zeros((len(pairs), group.n), bool) for _ in "AB")
+    for p, (a_els, b_els) in enumerate(pairs):
+        A[p, list(a_els)] = B[p, list(b_els)] = True
+    rows = iter(_block_rows(group, A, B))
+    out = [tuple(itertools.islice(rows, len(a_els))) for a_els, _ in pairs]
+    assert next(rows, None) is None
+    return out
+
+
+def block_result(group, a_els, rows):
+    """The engine's result on the rows of A over the whole group."""
+    return _graph_result(group, MatchabilityGraph(left=a_els, right=range(group.n), rows=rows))
+
+
 class TestMaskInstancePath:
-    """The sweeps' mask instances against the public engine on GroupSubsets."""
+    """The sweeps' block instances against the public engine on GroupSubsets."""
 
     def test_property_instances(self):
         # Sizes 12 and 13 in C14 take find_matching's Python and numpy row
@@ -415,53 +431,53 @@ class TestMaskInstancePath:
         for spec, sizes in [("C12", range(1, 12)), ("D6", range(1, 12)), ("Q8", range(1, 8)),
                             ("C2xC4", range(1, 8)), ("C14", [3, 6, 9, 12, 13])]:
             g = parse_group_spec(spec)
-            stay = _stay_tables(g)
             rng = random.Random(f"property/{spec}")
-            for k in sizes:
-                for _ in range(12):
-                    a_els = tuple(sorted(rng.sample(range(g.n), k)))
-                    b_els = tuple(sorted(rng.sample(range(1, g.n), k)))
-                    expected = engine_result(g, a_els, b_els)
-                    masks = _pair_masks((a_els, b_els))
-                    assert _mask_result(g, stay, *masks) == expected
-                    assert _mask_matches(stay, *masks) == isinstance(expected, Matching)
-                    if isinstance(expected, HallViolator):
-                        assert (_property_record(g, stay, (a_els, b_els))
-                                == violator_record(a_els, b_els, expected))
-                        unmatchable += 1
+            pairs = [(tuple(sorted(rng.sample(range(g.n), k))),
+                      tuple(sorted(rng.sample(range(1, g.n), k))))
+                     for k in sizes for _ in range(12)]
+            for (a_els, b_els), rows in zip(pairs, block_rows(g, pairs)):
+                expected = engine_result(g, a_els, b_els)
+                assert block_result(g, a_els, rows) == expected
+                failed = isinstance(expected, HallViolator)
+                record = violator_record(a_els, b_els, expected) if failed else None
+                assert _failing_pairs(g, [(a_els, b_els)]) == (1, int(failed), record)
+                unmatchable += failed
         assert unmatchable >= 20
 
     @pytest.mark.parametrize("spec", ["D5", "Q8"])
     def test_automatching_instances(self, spec):
         g = parse_group_spec(spec)
-        stay = _stay_tables(g)
-        for mask in range(1, 1 << (g.n - 1)):
-            a_els = _bits(mask << 1)
+        pairs = [(_bits(mask << 1),) * 2 for mask in range(1, 1 << (g.n - 1))]
+        for (a_els, _), rows in zip(pairs, block_rows(g, pairs)):
             expected = engine_result(g, a_els, a_els)
             assert isinstance(expected, Matching)
-            assert _mask_result(g, stay, a_els, mask << 1, mask << 1) == expected
-            assert _automatching_instance(g, stay, mask) is None
+            assert block_result(g, a_els, rows) == expected
+            assert _automatching_instance(g, a_els, rows) is None
 
     @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "S4", "C24", "D12"])
     def test_stay_tables_against_mul(self, spec):
-        # Orders 1 to 24: masks of one, two and three bytes.
+        # The rows of _block_rows, the x whose product a*x stays out of A,
+        # against mul; the name is kept so the test keeps its id.
+        # Orders 2 to 24: rows of one, two and three bytes.  One block mixes
+        # pair sizes, with a pair that has no rows (A empty) and one whose
+        # rows are all 0 (A the whole group) among the random pairs.
         g = parse_group_spec(spec)
-        stay = _stay_tables(g)
-        rng = random.Random(f"stay/{spec}")
-        for _ in range(40):
-            a_mask = rng.randrange(1 << g.n)
-            a_bytes = a_mask.to_bytes((g.n + 7) // 8, "little")
-            in_A = {y for y in g.elements() if a_mask >> y & 1}
-            for a in g.elements():
-                expected = sum(1 << (g.n - 1 - x) for x in g.elements() if g.mul(a, x) in in_A)
-                assert sum(table[v] for table, v in zip(stay[a], a_bytes)) == expected
+        rng = random.Random(f"block/{spec}")
+        pairs = [(_bits(rng.randrange(1 << g.n)), _bits(rng.randrange(1 << g.n)))
+                 for _ in range(40)]
+        pairs[7:7] = [((), tuple(g.elements())), (tuple(g.elements()), pairs[0][1])]
+        for (a_els, b_els), rows in zip(pairs, block_rows(g, pairs)):
+            assert rows == tuple(sum(1 << (g.n - 1 - x) for x in b_els if g.mul(a, x) not in a_els)
+                                 for a in a_els)
+        assert block_rows(g, pairs)[8] == (0,) * g.n
 
 
-def reference_property_outcome(group, samples, seed):
-    """(pairs_failed, minimal record) of sampled matching-property, from a
-    record built for every failing pair by find_matching on GroupSubsets."""
+def reference_property_outcome(group, pairs):
+    """(pairs_failed, minimal record) of matching-property over the pairs,
+    from a record built for every failing pair by find_matching on
+    GroupSubsets."""
     failing = []
-    for a_els, b_els in _sized_pairs(group.n, group.n - 1, samples, seed):
+    for a_els, b_els in pairs:
         result = engine_result(group, a_els, b_els)
         if isinstance(result, HallViolator):
             failing.append(violator_record(a_els, b_els, result))
@@ -476,10 +492,20 @@ class TestMatchingProperty:
         # The sweep kernel on sampled pairs of composite orders, where many
         # pairs fail; the check itself certifies these groups.
         g = parse_group_spec(spec)
-        tested, failed, minimal = theorems._failing_pairs(g, _sized_pairs(g.n, g.n - 1, 300, seed))
+        tested, failed, minimal = _failing_pairs(g, _sized_pairs(g.n, g.n - 1, 300, seed))
         assert tested == 300
-        assert (failed, minimal) == reference_property_outcome(g, 300, seed)
+        assert (failed, minimal) == reference_property_outcome(g, _sized_pairs(g.n, g.n - 1, 300, seed))
         assert failed > 0
+
+    def test_failing_pairs_across_blocks_match_reference(self):
+        # Every exhaustive pair of C8 spans several blocks of PAIR_BLOCK
+        # pairs; a row read from the wrong pair changes a verdict.
+        g = make_cyclic(8)
+        pairs = [(a_els, b_els) for k in range(1, 8)
+                 for a_els in itertools.combinations(range(8), k)
+                 for b_els in itertools.combinations(range(1, 8), k)]
+        assert len(pairs) == 6434 > PAIR_BLOCK
+        assert _failing_pairs(g, pairs) == (6434, *reference_property_outcome(g, pairs))
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     @pytest.mark.parametrize("spec", ["C11", "C13"])
@@ -488,7 +514,8 @@ class TestMatchingProperty:
         assert g.n > PROPERTY_EXHAUSTIVE_CAP
         r = check_matching_property(g, samples=300, seed=seed)
         out = r.flagged[-1]
-        assert (out["pairs_failed"], out["counterexample"]) == reference_property_outcome(g, 300, seed)
+        assert ((out["pairs_failed"], out["counterexample"])
+                == reference_property_outcome(g, _sized_pairs(g.n, g.n - 1, 300, seed)))
         assert out["pairs_failed"] == 0 and out["counterexample"] is None
         assert out["mode"] == "sampled" and out["property_holds"] is None
         assert r.status == "pass" and r.instances_tested == 300
