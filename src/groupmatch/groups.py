@@ -318,13 +318,9 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
 
 
 def element_order(group: GroupTable, a) -> int:
-    """Least k >= 1 with a^k equal to the identity."""
-    a = group.check_element(a)
-    k, x = 1, a
-    while x != 0:
-        x = group.mul(x, a)
-        k += 1
-    return k
+    """Least k >= 1 with a^k equal to the identity: the size of the cyclic
+    subgroup that a generates."""
+    return len(cyclic_subgroup(group, a))
 
 
 def cyclic_subgroup(group: GroupTable, a) -> GroupSubset:

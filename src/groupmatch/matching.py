@@ -17,11 +17,6 @@ from .groups import GroupTable
 from .subsets import GroupSubset, _same_group
 
 BRUTE_FORCE_CAP = 7
-# Graphs of at least this many |A|*|B| cells in a finite group gather
-# their rows from the numpy Cayley table; smaller pairs and lattices
-# build them in Python from ``mul``.  The two builders take equal time
-# between 144 and 169 cells, where numpy's fixed cost per call is paid off.
-TABLE_ROWS_MIN_CELLS = 169
 
 
 def _bits(mask: int) -> list:
@@ -146,11 +141,12 @@ def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> tuple[int, .
 
 
 def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
-    """The matchability graph; row i is the candidate set of left[i]."""
+    """The matchability graph; row i is the candidate set of left[i],
+    gathered from the Cayley table when the group has one."""
     g = _same_group(A, B)
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
-    if isinstance(g, GroupTable) and len(A) * len(B) >= TABLE_ROWS_MIN_CELLS:
+    if isinstance(g, GroupTable):
         rows = _table_rows(A, B)
     else:
         rows = _python_rows(g.mul, A.elements, A.members, B.elements)

@@ -26,7 +26,7 @@ from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, c
                      enumerate_subgroups)
 from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
                        _block_rows, _brute_force, _graph_result, _matching_fault,
-                       _maximum_matching, _python_rows, brute_force_matching, find_matching,
+                       _maximum_matching, brute_force_matching, build_graph, find_matching,
                        verify_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
@@ -103,18 +103,21 @@ class CounterexamplePair:
     violator: HallViolator
 
 
-def _columns(masks, n: int) -> np.ndarray:
-    """Boolean (n, len(masks)) matrix of int masks: column p is mask p, row i
-    its bit i."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), width).T, axis=0, count=n,
-                         bitorder="little").view(bool)
+def _columns(sets, n: int) -> np.ndarray:
+    """Boolean (n, len(sets)) matrix of element sequences: column p marks
+    the elements of set p.  It is the transpose of a C-ordered matrix, whose
+    rows ``_block_rows`` reads."""
+    sets = list(sets)
+    sizes = np.fromiter(map(len, sets), np.intp, len(sets))
+    out = np.zeros((len(sets), n), bool)
+    out[np.arange(len(sets)).repeat(sizes),
+        np.fromiter(itertools.chain(*sets), np.intp, sizes.sum())] = True
+    return out.T
 
 
 def _pair_columns(A: GroupSubset, B: GroupSubset) -> tuple:
     """The (n, 1) boolean columns of one pair of subsets."""
-    return tuple(_columns([sum(1 << x for x in S)], S.group.n) for S in (A, B))
+    return tuple(_columns([S.elements], S.group.n) for S in (A, B))
 
 
 def _all_pairs(subsets: np.ndarray):
@@ -174,7 +177,7 @@ def _pair_blocks(n: int, exhaustive_cap: int, samples: int, seed: int) -> tuple:
     within the cap (seed None), else a seeded sample of pairs."""
     _check_samples(samples)
     if n <= exhaustive_cap:
-        return _all_pairs(_columns(range(1, 1 << n), n)), None
+        return _all_pairs(_columns(map(_bits, range(1, 1 << n)), n)), None
     return _sampled_pairs(n, samples, random.Random(seed)), seed
 
 
@@ -203,6 +206,21 @@ def _sized_pairs(n: int, max_k: int, samples: int, seed: int):
 def _members(column) -> list:
     """The elements set in a boolean column, ascending."""
     return np.flatnonzero(column).tolist()
+
+
+def _pair_graphs(group: GroupTable, pairs):
+    """Each (a_els, b_els) pair of ascending element sequences with its
+    graph over the whole group (see ``_block_rows``), gathered in blocks of
+    ``PAIR_BLOCK`` pairs; where every B of a block is its A, one matrix
+    serves both sides."""
+    n, pairs = group.n, iter(pairs)
+    while block := list(itertools.islice(pairs, PAIR_BLOCK)):
+        a_side, b_side = zip(*block)
+        A = _columns(a_side, n).T
+        rows = _block_rows(group, A, A if a_side == b_side else _columns(b_side, n).T)
+        ends = itertools.pairwise(itertools.accumulate(map(len, a_side), initial=0))
+        for pair, (start, stop) in zip(block, ends):
+            yield pair, MatchabilityGraph(left=pair[0], right=range(n), rows=rows[start:stop])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +337,7 @@ def sweep_corollary(group: GroupTable, *,
     if n > order_cap:
         raise SizeLimit("containment-bound sweep", n, order_cap)
     # U and V are subsets of the non-identity elements: the even masks.
-    subsets = _columns(range(2, 1 << n, 2), n)
+    subsets = _columns(map(_bits, range(2, 1 << n, 2)), n)
     x_full = list(range(1, n))
     report = CheckReport("corollary")
     stated = []
@@ -449,16 +467,16 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 # Automatching: a matching A -> A exists iff the identity is outside A
 
 
-def _automatching_instance(group, a_els, rows):
-    """The failure record of A -> A, or None, from A's graph rows over the
-    whole group (see ``_block_rows``)."""
-    result = _graph_result(group, MatchabilityGraph(left=a_els, right=range(group.n), rows=rows))
+def _automatching_instance(group, graph: MatchabilityGraph):
+    """The failure record of A -> A, or None, from A's graph over the whole
+    group (see ``_pair_graphs``)."""
+    result, a_els = _graph_result(group, graph), graph.left
     if isinstance(result, HallViolator):
-        return {"kind": "automatching-violator", "A": a_els, **violator_json(result)}
+        return {"kind": "automatching-violator", "A": _els(a_els), **violator_json(result)}
     a_set = frozenset(a_els)
     why = _matching_fault(group, a_set, a_set, result.pairs)
     if why is not None:
-        return {"kind": "invalid-matching", "A": a_els, "why": why}
+        return {"kind": "invalid-matching", "A": _els(a_els), "why": why}
     return None
 
 
@@ -481,19 +499,15 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     n = group.n
     if n > order_cap:
         raise SizeLimit("automatching sweep", n, order_cap)
-    report = CheckReport("automatching")
-    masks = range(2, 1 << n, 2)     # every nonempty A without the identity, element 0
-    for lo in range(0, len(masks), PAIR_BLOCK):
-        block = masks[lo:lo + PAIR_BLOCK]
-        A = _columns(block, n).T
-        rows, start = _block_rows(group, A, A), 0
-        report.instances_tested += len(block)
-        for mask in block:
-            a_els = _bits(mask)
-            outcome = _automatching_instance(group, a_els, rows[start:start + len(a_els)])
-            start += len(a_els)
-            if outcome is not None:
-                report.failures.append(outcome)
+    # Every nonempty A without the identity, element 0: the even masks, as
+    # tuples, which the collector untracks, so a block is not rescanned.
+    masks = range(2, 1 << n, 2)
+    report = CheckReport("automatching", instances_tested=len(masks))
+    subsets = map(tuple, map(_bits, masks))
+    for _, graph in _pair_graphs(group, ((a_els, a_els) for a_els in subsets)):
+        outcome = _automatching_instance(group, graph)
+        if outcome is not None:
+            report.failures.append(outcome)
 
     confirmations = 0
     for k in range(0, min(IDENTITY_CONFIRMATION_CAP - 1, n - 1) + 1):
@@ -547,30 +561,21 @@ def _certificate_fault(group: GroupTable, record: dict) -> str | None:
 
 def _failing_pairs(group: GroupTable, instances) -> tuple:
     """(pairs tested, pairs failed, record of the minimal failing pair or
-    None) over the instances, read in blocks of ``PAIR_BLOCK`` pairs.  Each
-    pair is decided by Kuhn's search alone; the minimal pair is the least by
-    |A|, then lexicographically, and its record is the only one built."""
-    n, instances = group.n, iter(instances)
+    None) over the instances (see ``_pair_graphs``).  Each pair is decided
+    by Kuhn's search alone; the minimal pair is the least by |A|, then
+    lexicographically, and its record, from its graph, is the only one."""
     tested, failed, least = 0, 0, None
-    while block := list(itertools.islice(instances, PAIR_BLOCK)):
-        A, B = (_columns([sum(1 << x for x in s) for s in side], n).T for side in zip(*block))
-        rows, start = _block_rows(group, A, B), 0
-        tested += len(block)
-        for pair in block:
-            a_els = pair[0]
-            graph = MatchabilityGraph(left=a_els, right=range(n),
-                                      rows=rows[start:start + len(a_els)])
-            start += len(a_els)
-            if None in _maximum_matching(graph)[0]:
-                failed += 1
-                key = (len(a_els), pair)
-                if least is None or key < least:
-                    least = key
+    for pair, graph in _pair_graphs(group, instances):
+        tested += 1
+        if None in _maximum_matching(graph)[0]:
+            failed += 1
+            key = (len(pair[0]), pair)
+            if least is None or key < least[0]:
+                least = key, graph
     if least is None:
         return tested, failed, None
-    a_els, b_els = least[1]
-    violator = find_matching(GroupSubset(group, a_els), GroupSubset(group, b_els))
-    return tested, failed, _violator_record(a_els, b_els, violator)
+    (_, (a_els, b_els)), graph = least
+    return tested, failed, _violator_record(a_els, b_els, _graph_result(group, graph))
 
 
 def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES, seed: int = 0,
@@ -762,15 +767,13 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
-    return _cross_validate(g.mul, A.elements, A.members, B.elements)
+    return _cross_validate(g.mul, A.elements, A.members, B.elements, build_graph(A, B))
 
 
-def _cross_validate(mul, a_els, a_set, b_els) -> bool:
+def _cross_validate(mul, a_els, a_set, b_els, graph: MatchabilityGraph) -> bool:
     """cross_validate_hall after its input checks, on A's ascending elements
-    and set and B's ascending elements.  The engine route is what
-    find_matching runs at |A|*|B| <= 25 < TABLE_ROWS_MIN_CELLS cells."""
-    rows = _python_rows(mul, a_els, a_set, b_els)
-    engine_ok = None not in _maximum_matching(MatchabilityGraph(a_els, b_els, rows))[0]
+    and set, B's ascending elements and the engine's graph of the pair."""
+    engine_ok = None not in _maximum_matching(graph)[0]
     brute_ok = _brute_force(mul, a_els, a_set, b_els) is not None
 
     # Row masks over B, one per s in A, each built from the group law on its own.
@@ -798,11 +801,11 @@ def _cross_validate(mul, a_els, a_set, b_els) -> bool:
     return engine_ok
 
 
-def _hall_instance(mul, pair):
+def _hall_instance(mul, pair, graph: MatchabilityGraph):
     """None, or the failure record of a pair of ascending element tuples."""
     a_els, b_els = pair
     try:
-        _cross_validate(mul, a_els, frozenset(a_els), b_els)
+        _cross_validate(mul, a_els, frozenset(a_els), b_els, graph)
     except CrossValidationError as exc:
         return {"kind": "cross-validation-disagreement",
                 "A": _els(a_els), "B": _els(b_els), "why": str(exc)}
@@ -817,13 +820,13 @@ def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
     report = CheckReport("hall", seed=seed)
     if group.n < 2:
         return report.finish(t0)
-    # Each distinct pair is decided once; every draw counts, and a failing
-    # pair appends its record at every draw.
-    outcomes = {}
-    for pair in _sized_pairs(group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed):
-        if pair not in outcomes:
-            outcomes[pair] = _hall_instance(group.mul, pair)
-        report.instances_tested += 1
-        if outcomes[pair] is not None:
-            report.failures.append(outcomes[pair])
+    # Each distinct pair is decided once.  Every draw counts, and a failing
+    # pair appends its record at every draw, for which the draws are redone.
+    draws = (group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed)
+    outcomes = dict.fromkeys(_sized_pairs(*draws))
+    for pair, graph in _pair_graphs(group, outcomes):
+        outcomes[pair] = _hall_instance(group.mul, pair, graph)
+    report.instances_tested = samples
+    if any(outcomes.values()):
+        report.failures.extend(filter(None, map(outcomes.get, _sized_pairs(*draws))))
     return report.finish(t0)

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 
 import numpy as np
@@ -29,8 +28,8 @@ from groupmatch import (
     verify_matching,
 )
 from groupmatch import matching
-from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, MatchabilityGraph, _block_rows,
-                                 _graph_result, _maximum_matching)
+from groupmatch.matching import (MatchabilityGraph, _block_rows, _graph_result,
+                                 _maximum_matching)
 from groupmatch.subsets import candidate_set
 from groupmatch.theorems import _failing_pairs
 
@@ -101,26 +100,20 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("group", [make_quaternion(), make_dihedral(32), make_cyclic(64),
                                        make_cyclic(512)], ids=["q8", "d32", "c64", "c512"])
-    def test_table_rows_equal_python_rows(self, group, monkeypatch):
+    def test_table_rows_equal_python_rows(self, group):
+        # find_matching takes the table rows at every size, 1 x 1 included;
+        # the rows built from mul, and Kuhn's search on them, agree.
         rng = random.Random(f"rows/{group.name}")
-        below = math.isqrt(TABLE_ROWS_MIN_CELLS - 1)
-        at = math.isqrt(TABLE_ROWS_MIN_CELLS)
-        assert below * below < at * at == TABLE_ROWS_MIN_CELLS
-        for k in (1, 2, group.n // 2, group.n - 1, below, at):
+        for k in (1, 2, group.n // 2, group.n - 1, 12, 13):
             if k >= group.n:
                 continue
             for _ in range(3):
                 A = GroupSubset(group, rng.sample(range(group.n), k))
                 B = GroupSubset(group, rng.sample(range(1, group.n), k))
-                assert matching._table_rows(A, B) == matching._python_rows(
-                    group.mul, A.elements, A.members, B.elements)
-                if k in (below, at):
-                    # Default path first, then the other builder forced.
-                    result = find_matching(A, B)
-                    monkeypatch.setattr(matching, "TABLE_ROWS_MIN_CELLS",
-                                        1 if k == below else TABLE_ROWS_MIN_CELLS + 1)
-                    assert find_matching(A, B) == result
-                    monkeypatch.undo()
+                rows = matching._python_rows(group.mul, A.elements, A.members, B.elements)
+                assert matching._table_rows(A, B) == rows
+                assert find_matching(A, B) == _graph_result(
+                    group, MatchabilityGraph(left=A.elements, right=B.elements, rows=rows))
 
     def test_empty_rejected(self):
         c4 = make_cyclic(4)
@@ -374,7 +367,7 @@ class TestBruteForce:
 
 def _lsb_rows(A, B):
     """Rows with bit j marking B.elements[j], least significant bit first."""
-    if isinstance(A.group, GroupTable) and len(A) * len(B) >= TABLE_ROWS_MIN_CELLS:
+    if isinstance(A.group, GroupTable):
         in_A = np.zeros(A.group.n, dtype=bool)
         in_A[list(A.elements)] = True
         keep = ~in_A[A.group.array[np.ix_(A.elements, B.elements)]]

@@ -44,8 +44,7 @@ from groupmatch import (
 )
 from groupmatch import theorems
 from groupmatch.cli import main
-from groupmatch.matching import (TABLE_ROWS_MIN_CELLS, MatchabilityGraph, _bits, _block_rows,
-                                 _graph_result)
+from groupmatch.matching import MatchabilityGraph, _bits, _block_rows, _graph_result
 from groupmatch.reports import elements_json
 from groupmatch.subsets import candidate_set, product_set, stable_set, unique_products
 from groupmatch.theorems import (DEFAULT_HALL_SAMPLES, HALL_MAX_SIZE, PAIR_BLOCK,
@@ -148,8 +147,8 @@ class TestSampledPairs:
                 for (A, B), size in zip(got, sizes):
                     a_masks, b_masks = zip(*[(loop.randrange(1, 1 << n), loop.randrange(1, 1 << n))
                                              for _ in range(size)])
-                    assert np.array_equal(A, _columns(a_masks, n))
-                    assert np.array_equal(B, _columns(b_masks, n))
+                    assert np.array_equal(A, _columns(map(_bits, a_masks), n))
+                    assert np.array_equal(B, _columns(map(_bits, b_masks), n))
                 assert bulk.getstate() == loop.getstate()
 
 
@@ -167,8 +166,7 @@ class TestProductKernel:
         else:
             instances = [(subset(g, a), subset(g, b)) for a, b in pairs]
         for A, B in instances:
-            masks = [sum(1 << x for x in S) for S in (A, B)]
-            count = _product_counts(g, _columns(masks[:1], g.n), _columns(masks[1:], g.n))[:, 0]
+            count = _product_counts(g, _columns([A.elements], g.n), _columns([B.elements], g.n))[:, 0]
             assert np.flatnonzero(count).tolist() == list(product_set(A, B).elements)
             assert (np.flatnonzero(count == 1).tolist()
                     == [w.value for w in unique_products(A, B)])
@@ -424,9 +422,6 @@ class TestMaskInstancePath:
     """The sweeps' block instances against the public engine on GroupSubsets."""
 
     def test_property_instances(self):
-        # Sizes 12 and 13 in C14 take find_matching's Python and numpy row
-        # builders on either side of TABLE_ROWS_MIN_CELLS.
-        assert 12 * 12 < TABLE_ROWS_MIN_CELLS <= 13 * 13
         unmatchable = 0
         for spec, sizes in [("C12", range(1, 12)), ("D6", range(1, 12)), ("Q8", range(1, 8)),
                             ("C2xC4", range(1, 8)), ("C14", [3, 6, 9, 12, 13])]:
@@ -452,7 +447,8 @@ class TestMaskInstancePath:
             expected = engine_result(g, a_els, a_els)
             assert isinstance(expected, Matching)
             assert block_result(g, a_els, rows) == expected
-            assert _automatching_instance(g, a_els, rows) is None
+            graph = MatchabilityGraph(left=a_els, right=range(g.n), rows=rows)
+            assert _automatching_instance(g, graph) is None
 
     @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "S4", "C24", "D12"])
     def test_stay_tables_against_mul(self, spec):
@@ -765,6 +761,15 @@ def reference_hall_report(group, samples, seed):
             "failures": [], "flagged": []}
 
 
+class OppositeLaw(GroupTable):
+    """A group's table with mul(a, b) = b*a: the engine's graphs come from
+    the table, while the bijection oracle and Hall's forms see the opposite
+    group."""
+
+    def mul(self, a, b):
+        return int(self.array[b, a])
+
+
 class TestHallCrossValidation:
     def test_c4_unmatchable_instance(self):
         c4 = make_cyclic(4)
@@ -815,6 +820,26 @@ class TestHallCrossValidation:
         for seed in (0, 1, 7):
             assert (sweep_hall(g, seed=seed).to_dict()
                     == reference_hall_report(g, DEFAULT_HALL_SAMPLES, seed))
+
+    @pytest.mark.parametrize("spec", ["S3", "D4", "D5", "D6"])
+    def test_engine_reads_the_table_not_mul(self, spec):
+        # A draw fails exactly when its verdict in the group differs from
+        # that in the opposite group, where the two oracles decide it;
+        # cross_validate_hall's engine reads the table too.
+        g = parse_group_spec(spec)
+        opposite = OppositeLaw(g.table, names=g.names, name=g.name)
+        expected = []
+        for a_els, b_els in _sized_pairs(g.n, min(HALL_MAX_SIZE, g.n - 1), DEFAULT_HALL_SAMPLES, 0):
+            engine = isinstance(find_matching(subset(g, a_els), subset(g, b_els)), Matching)
+            oracle = brute_force_matching(subset(opposite, a_els), subset(opposite, b_els)) is not None
+            if engine != oracle:
+                with pytest.raises(CrossValidationError, match="routes disagree"):
+                    cross_validate_hall(subset(opposite, a_els), subset(opposite, b_els))
+                expected.append({"kind": "cross-validation-disagreement",
+                                 "A": list(a_els), "B": list(b_els),
+                                 "why": f"routes disagree: engine={engine} brute={oracle} hall={oracle}"})
+        assert len(expected) >= 10
+        assert sweep_hall(opposite, seed=0).failures == expected
 
     def test_failing_pair_recorded_at_every_draw(self, monkeypatch):
         # C2 has two distinct pairs, ({0}, {1}) and ({1}, {1}), so the 500
