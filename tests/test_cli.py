@@ -241,6 +241,20 @@ class TestVerifyCommand:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "ec2beb74cf0bae406133b6ff94d4faa7cdefe9db6c45906af4cf263198a615a6")
 
+    # Recorded while both samplers still drew per call from random.Random:
+    # C23's Hall draws reach random.sample's set branch (a population above
+    # 21), and Z^3 draws three randint coordinates per point.
+    @pytest.mark.parametrize("argv,digest", [
+        (("lattice", "-d", "3", "-t", "300", "--seed", "7"),
+         "0c24f24a147050f5f87b8732976e5dbb7e61630453bb867ed35aa445b854bf15"),
+        (("verify", "C23", "--checks", "hall,matching-property", "--seed", "7"),
+         "ad120007e0ce8cfeda58830a59b908c3d66e598f404a9163e560a57b26e6bcdf"),
+    ])
+    def test_seeded_sampler_digest_is_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, *argv, "--format", "machine")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_run_that_tests_nothing_is_skipped(self, capsys):
         code, out = run(capsys, "verify", "C1", "--checks", "hall")
         assert code == 2 and "overall: SKIPPED" in out
