@@ -113,9 +113,15 @@ def _python_rows(mul, a_els, a_set, b_els) -> tuple[int, ...]:
 
 
 def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as an int, column j at bit j."""
+    """Each row of a boolean matrix as an int, column j at bit j.  Rows of
+    at most 64 columns are read as one little-endian word each."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    width, data = packed.shape[1], packed.tobytes()
+    width = packed.shape[1]
+    if width <= 8:
+        words = np.zeros((len(packed), 8), np.uint8)
+        words[:, :width] = packed
+        return tuple(words.view("<u8").ravel().tolist())
+    data = packed.tobytes()
     return tuple(int.from_bytes(data[i:i + width], "little")
                  for i in range(0, len(data), width))
 

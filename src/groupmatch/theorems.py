@@ -14,6 +14,7 @@ and status "skipped".
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,8 +27,8 @@ from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, c
                      enumerate_subgroups)
 from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
                        _block_rows, _brute_force, _graph_result, _matching_fault,
-                       _maximum_matching, brute_force_matching, build_graph, find_matching,
-                       verify_matching)
+                       _maximum_matching, _python_rows, brute_force_matching, build_graph,
+                       find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -42,6 +43,7 @@ DEFAULT_SAMPLES = 2000
 DEFAULT_HALL_SAMPLES = 500
 DEFAULT_LATTICE_SIZE_CAP = 10
 PAIR_BLOCK = 1024               # pairs per array block of the product-set sweeps
+_WORD_CHUNK = 1024              # 32-bit words per getrandbits call of _below_reader
 
 
 @dataclass
@@ -194,13 +196,60 @@ def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return count
 
 
+def _below_reader(rng: random.Random):
+    """m -> ``rng._randbelow(m)``, from rng's 32-bit Mersenne Twister words
+    read ``_WORD_CHUNK`` per getrandbits call, the first least significant.
+    _randbelow(m) redraws getrandbits(m.bit_length()) while it is at least m;
+    getrandbits(k) is the top k bits of a word for k <= 32, and above it
+    ceil(k / 32) words, least significant first, the last shifted right to
+    the bits left.  The reader runs ahead of its draws, so rng must be
+    private to it."""
+    # iter(f, None) calls f without end: a chunk is a list, never None.
+    chunks = iter(lambda: np.frombuffer(rng.getrandbits(32 * _WORD_CHUNK).to_bytes(
+        4 * _WORD_CHUNK, "little"), "<u4").tolist(), None)
+    word = itertools.chain.from_iterable(chunks).__next__
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        while True:
+            if k <= 32:
+                r = word() >> (32 - k)
+            else:
+                r = sum(word() >> max(0, i + 32 - k) << i for i in range(0, k, 32))
+            if r < m:
+                return r
+    return below
+
+
+def _sample(below, population: range, k: int):
+    """The members of ``rng.sample(population, k)``, ``below`` reading rng:
+    a pool swapping each pick to its end while the population is at most 21
+    long (21 + 4 ** ceil(log4(3k)) when k > 5), else redrawn indices."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        for i in range(n - 1, n - 1 - k, -1):
+            j = below(i + 1)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[n - k:]
+    picked = set()
+    while len(picked) < k:
+        picked.add(population[below(n)])
+    return picked
+
+
 def _sized_pairs(n: int, max_k: int, samples: int, seed: int):
-    """Seeded (a_els, b_els) pairs, |A| = |B| <= max_k, the identity out of B."""
-    rng = random.Random(seed)
+    """Seeded (a_els, b_els) pairs, |A| = |B| <= max_k, the identity out of B:
+    ``k = randint(1, max_k)``, then ``sample(range(n), k)`` and
+    ``sample(range(1, n), k)``, sorted, from ``random.Random(seed)``."""
+    below = _below_reader(random.Random(seed))
     for _ in range(samples):
-        k = rng.randint(1, max_k)
-        yield (tuple(sorted(rng.sample(range(n), k))),
-               tuple(sorted(rng.sample(range(1, n), k))))
+        k = 1 + below(max_k)
+        yield (tuple(sorted(_sample(below, range(n), k))),
+               tuple(sorted(_sample(below, range(1, n), k))))
 
 
 def _members(column) -> list:
@@ -688,15 +737,33 @@ def construct_counterexample(group: GroupTable) -> CounterexamplePair:
 # Torsion-free branch: randomized lattice instances
 
 
-def _random_point(rng: random.Random, d: int, bound: int) -> tuple:
-    return tuple(rng.randint(-bound, bound) for _ in range(d))
+def _lattice_pairs(d: int, trials: int, max_size: int, bound: int, seed: int):
+    """Seeded (a_els, b_els) pairs of ascending Z^d points, |A| = |B| <=
+    max_size, zero out of B: ``k = randint(1, max_size)``, then points of d
+    ``randint(-bound, bound)`` until A, then B, has k, from ``Random(seed)``."""
+    below = _below_reader(random.Random(seed))
+    width = 2 * bound + 1
+    for _ in range(trials):
+        k = 1 + below(max_size)
+        sides = []
+        for excluded in (None, (0,) * d):
+            points = set()
+            while len(points) < k:
+                point = tuple([below(width) - bound for _ in range(d)])
+                if point != excluded:
+                    points.add(point)
+            sides.append(tuple(sorted(points)))
+        yield tuple(sides)
 
 
 def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
                            coordinate_bound: int = 10, seed: int = 0) -> CheckReport:
     """Sample |A| = |B| <= max_size lattice subsets (zero kept out of B) and
     require a matching every time; instances of size <= LATTICE_CONFIRMATION_CAP
-    are also confirmed against the brute-force bijection oracle."""
+    are also confirmed against the brute-force bijection oracle.  Trials run
+    on element tuples through the cores of ``find_matching``,
+    ``verify_matching`` and ``brute_force_matching``, whose input checks the
+    sampler already meets."""
     t0 = perf_counter()
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
@@ -709,37 +776,28 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     group = LatticeGroup(d)
     if (2 * coordinate_bound + 1) ** d <= max_size:
         raise ValueError("coordinate_bound too small for the requested subset size")
-    rng = random.Random(seed)
     report = CheckReport("lattice-matching", seed=seed)
     confirmed = 0
-    zero = group.identity
-    for _ in range(trials):
-        k = rng.randint(1, max_size)
-        a_els: set = set()
-        while len(a_els) < k:
-            a_els.add(_random_point(rng, d, coordinate_bound))
-        b_els: set = set()
-        while len(b_els) < k:
-            p = _random_point(rng, d, coordinate_bound)
-            if p != zero:
-                b_els.add(p)
-        A = GroupSubset(group, a_els)
-        B = GroupSubset(group, b_els)
-        result = find_matching(A, B)
+    mul = group.mul
+    for a_els, b_els in _lattice_pairs(d, trials, max_size, coordinate_bound, seed):
+        a_set = frozenset(a_els)
+        graph = MatchabilityGraph(left=a_els, right=b_els,
+                                  rows=_python_rows(mul, a_els, a_set, b_els))
+        result = _graph_result(group, graph)
         report.instances_tested += 1
         matched = isinstance(result, Matching)
         if not matched:
             report.failures.append({
-                "kind": "lattice-violator", "A": _els(A), "B": _els(B),
+                "kind": "lattice-violator", "A": _els(a_els), "B": _els(b_els),
                 "S": _els(result.subset), "deficiency": result.deficiency})
-        elif not verify_matching(A, B, result):
-            report.failures.append({"kind": "invalid-matching", "A": _els(A), "B": _els(B)})
-        if k <= LATTICE_CONFIRMATION_CAP:
-            brute = brute_force_matching(A, B)
-            if (brute is not None) != matched:
+        elif _matching_fault(group, a_set, frozenset(b_els), result.pairs) is not None:
+            report.failures.append({"kind": "invalid-matching", "A": _els(a_els), "B": _els(b_els)})
+        if len(a_els) <= LATTICE_CONFIRMATION_CAP:
+            brute = _brute_force(mul, a_els, a_set, b_els) is not None
+            if brute != matched:
                 report.failures.append({
-                    "kind": "oracle-disagreement", "A": _els(A), "B": _els(B),
-                    "engine": matched, "brute_force": brute is not None})
+                    "kind": "oracle-disagreement", "A": _els(a_els), "B": _els(b_els),
+                    "engine": matched, "brute_force": brute})
             else:
                 confirmed += 1
     report.flagged.append({"kind": "brute-force-confirmations", "count": confirmed})

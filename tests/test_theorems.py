@@ -152,6 +152,60 @@ class TestSampledPairs:
                 assert bulk.getstate() == loop.getstate()
 
 
+def per_draw_lattice_pairs(d, trials, max_size, bound, seed):
+    """The lattice draws as per-call randint loops on one generator."""
+    rng = random.Random(seed)
+    zero = (0,) * d
+
+    def point():
+        return tuple(rng.randint(-bound, bound) for _ in range(d))
+
+    for _ in range(trials):
+        k = rng.randint(1, max_size)
+        a_els: set = set()
+        while len(a_els) < k:
+            a_els.add(point())
+        b_els: set = set()
+        while len(b_els) < k:
+            p = point()
+            if p != zero:
+                b_els.add(p)
+        yield tuple(sorted(a_els)), tuple(sorted(b_els))
+
+
+class TestWordReaderSamplers:
+    """The Hall and lattice samplers read their generator's words in bulk
+    and must draw what per-call randint and sample loops draw.  n = 22 puts
+    B's population at sample's pool limit of 21 and A's just above it; at
+    n = 100, k = 6..21 lies above the pool limit of 21 + 4 ** ceil(log4(3k))
+    and k = 22.. below it, and n = 86 puts B's population at that limit, 85,
+    for k = 6..21; max_k = 1 and the lattice bound 1 redraw often, and
+    bound 2 ** 40 draws 42-bit coordinates from two words."""
+
+    @pytest.mark.parametrize("n", [2, 6, 14, 21, 22, 23, 30, 86, 100])
+    def test_sized_pairs_equal_per_draw_loop(self, n):
+        for max_k in sorted({1, min(5, n - 1), n - 1}):
+            for seed in range(32):
+                rng = random.Random(seed)
+                expected = []
+                for _ in range(25):
+                    k = rng.randint(1, max_k)
+                    expected.append((tuple(sorted(rng.sample(range(n), k))),
+                                     tuple(sorted(rng.sample(range(1, n), k)))))
+                assert list(_sized_pairs(n, max_k, 25, seed)) == expected, (max_k, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_lattice_pairs_equal_per_draw_loop(self, d):
+        for bound in (1, 2, 10, 2 ** 40):
+            for max_size in range(1, 11):
+                if (2 * bound + 1) ** d <= max_size:
+                    continue    # the check rejects a bound this small
+                for seed in (0, 1, 7):
+                    args = (d, 20, max_size, bound, seed)
+                    assert (list(theorems._lattice_pairs(*args))
+                            == list(per_draw_lattice_pairs(*args))), args
+
+
 class TestProductKernel:
     @pytest.mark.parametrize("spec,pairs", [
         ("D3", None), ("Q8", 500), ("C2xC4", 500),
@@ -735,6 +789,41 @@ class TestLatticeMatching:
         a = check_lattice_matching(2, 50, seed=3).to_dict()
         b = check_lattice_matching(2, 50, seed=3).to_dict()
         assert a == b
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_per_trial_public_api_reference(self, d):
+        for seed in (0, 1, 7):
+            assert (check_lattice_matching(d, 200, seed=seed).to_dict()
+                    == reference_lattice_report(d, 200, 8, 10, seed))
+
+
+def reference_lattice_report(d, trials, max_size, bound, seed):
+    """check_lattice_matching's report from a per-trial loop on GroupSubsets,
+    through find_matching, verify_matching and brute_force_matching."""
+    group = LatticeGroup(d)
+    failures, confirmed = [], 0
+    for a_els, b_els in per_draw_lattice_pairs(d, trials, max_size, bound, seed):
+        A, B = subset(group, a_els), subset(group, b_els)
+        result = find_matching(A, B)
+        matched = isinstance(result, Matching)
+        if not matched:
+            failures.append({"kind": "lattice-violator", "A": elements_json(A),
+                             "B": elements_json(B), "S": elements_json(result.subset),
+                             "deficiency": result.deficiency})
+        elif not verify_matching(A, B, result):
+            failures.append({"kind": "invalid-matching", "A": elements_json(A),
+                             "B": elements_json(B)})
+        if len(A) <= theorems.LATTICE_CONFIRMATION_CAP:
+            brute = brute_force_matching(A, B) is not None
+            if brute != matched:
+                failures.append({"kind": "oracle-disagreement", "A": elements_json(A),
+                                 "B": elements_json(B), "engine": matched, "brute_force": brute})
+            else:
+                confirmed += 1
+    status = "fail" if failures else "pass" if trials else "skipped"
+    return {"check": "lattice-matching", "status": status, "instances_tested": trials,
+            "instances_skipped": 0, "seed": seed, "failures": failures,
+            "flagged": [{"kind": "brute-force-confirmations", "count": confirmed}]}
 
 
 def reference_hall_report(group, samples, seed):
