@@ -255,6 +255,30 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # Recorded before matching-property chose its mode in one branch, Hall's
+    # disagreement became a return value and the product-spec offsets came
+    # from itertools.accumulate.  Each digest covers the machine stdouts of
+    # its runs, concatenated in order; the Hall draws go through _sized_pairs,
+    # which reproduces random.sample.
+    @pytest.mark.parametrize("argvs,exit_code,digest", [
+        ([("verify", g, "--checks", "matching-property,hall", "--seed", "7")
+          for g in "C11 C13 C15 C16 C17 C19 D7 D8 D11 D12 S4".split()], 0,
+         "05f5a75967baf3f2d6e34f4924eec712223c951cd60ec4dd80952b38438683cd"),
+        ([("counterexample", g)
+          for g in "C4 C6 C8 C9 C10 C12 C14 C2xC2 C2xC4 D3 D4 D5 D6 Q8 S4 C24".split()], 0,
+         "091b142f66517bf3d35755e4222b893acb42553d29f18f712427df69bb954b87"),
+        ([("match", g, "{0}", "{1}")
+          for g in "C4xX9 C2xxC3 xC4 C4x D0xC2 C2xS9 C2xC3xQ9".split()], 2,
+         "5f6b4815fa235441f6c44e1b6960a48d792fe1b18054e9e4ec5585143016fb19"),
+    ], ids=["property-and-hall", "counterexample", "spec-parse-errors"])
+    def test_run_sequence_digest_is_pinned(self, capsys, argvs, exit_code, digest):
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, out = run(capsys, *argv, "--format", "machine")
+            assert code == exit_code, argv
+            h.update(out.encode())
+        assert h.hexdigest() == digest
+
     def test_run_that_tests_nothing_is_skipped(self, capsys):
         code, out = run(capsys, "verify", "C1", "--checks", "hall")
         assert code == 2 and "overall: SKIPPED" in out

@@ -859,6 +859,17 @@ class OppositeLaw(GroupTable):
         return int(self.array[b, a])
 
 
+class AlternatingLaw(GroupTable):
+    """s*x alternates between 3 (in A) and 4 (outside A) from call to call."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = itertools.count()
+
+    def mul(self, a, b):
+        return 3 + next(self.calls) % 2
+
+
 class TestHallCrossValidation:
     def test_c4_unmatchable_instance(self):
         c4 = make_cyclic(4)
@@ -883,21 +894,17 @@ class TestHallCrossValidation:
             cross_validate_hall(subset(c4, [1, 2]), subset(c4, [0, 1]))
 
     def test_disagreeing_forms_name_s_by_element(self):
-        class AlternatingLaw(GroupTable):
-            """s*x alternates between 3 (in A) and 4 (outside A) from call to call."""
-
-            def __init__(self, table):
-                super().__init__(table)
-                self.calls = itertools.count()
-
-            def mul(self, a, b):
-                return 3 + next(self.calls) % 2
-
         g = AlternatingLaw(make_cyclic(5).table)
         # Each form evaluates 3*3 once, one call after the other, so they see
         # opposite answers and disagree whichever comes first.
         with pytest.raises(CrossValidationError, match=r"Hall forms disagree on S = \[3\]"):
             cross_validate_hall(subset(g, [3]), subset(g, [3]))
+
+    def test_sweep_records_disagreeing_forms(self):
+        r = sweep_hall(AlternatingLaw(make_cyclic(5).table), samples=60)
+        assert r.status == "fail"
+        assert any(f["kind"] == "cross-validation-disagreement"
+                   and f["why"].startswith("Hall forms disagree on S = [") for f in r.failures)
 
     def test_sweep(self):
         r = sweep_hall(make_dihedral(4), samples=60, seed=3)
@@ -961,6 +968,23 @@ class TestReportContract:
     def test_automatching_ignores_jobs(self):
         g = make_cyclic(5)
         assert check_automatching(g, jobs=2).to_dict() == check_automatching(g).to_dict()
+
+    def test_elapsed_runs_from_creation(self, monkeypatch):
+        with pytest.raises(TypeError):
+            theorems.CheckReport("x", started=0.0)
+
+        def slow(group, max_order):
+            time.sleep(0.05)
+            return enumerate_subgroups(group, max_order)
+
+        # The orbit table is built after the report is created, so its build
+        # counts in elapsed.
+        monkeypatch.setattr(theorems, "enumerate_subgroups", slow)
+        theorems._orbit_table.cache_clear()
+        t0 = time.perf_counter()
+        report = sweep_olson(make_cyclic(6), samples=10)
+        wall = time.perf_counter() - t0
+        assert 0.05 <= report.elapsed <= wall
 
     def test_elapsed_excluded_from_machine_dict(self):
         r = sweep_kemperman(make_cyclic(3))
