@@ -325,12 +325,8 @@ def element_order(group: GroupTable, a) -> int:
 
 def cyclic_subgroup(group: GroupTable, a) -> GroupSubset:
     """The subgroup generated by a: {1, a, a^2, ...}."""
-    a = group.check_element(a)
-    members = [0]
-    x = a
-    while x != 0:
-        members.append(x)
-        x = group.mul(x, a)
+    members = {0}
+    _close(group.array, members, (group.check_element(a),))
     return GroupSubset(group, members)
 
 
@@ -433,10 +429,7 @@ def parse_group_spec(spec: str):
     if s.startswith("Z"):
         raise ParseError("lattice groups are written Z^<d>", column=1)
     parts = s.split("x")
-    offsets, pos = [], 0
-    for part in parts:
-        offsets.append(pos)
-        pos += len(part) + 1
+    offsets = list(itertools.accumulate((len(part) + 1 for part in parts[:-1]), initial=0))
     for part, off in zip(parts, offsets):
         if not part:
             raise ParseError("empty factor in product spec", column=off + 1)

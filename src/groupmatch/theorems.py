@@ -53,6 +53,7 @@ class CheckReport:
     ``failures`` holds records that falsify the asserted invariant;
     ``flagged`` holds non-failing observations worth reporting (found
     witnesses, stated-bound counterexamples, confirmation counts).
+    ``elapsed`` runs from the report's creation to ``finish()``.
     """
 
     check_name: str
@@ -63,9 +64,10 @@ class CheckReport:
     status: str = "skipped"
     seed: int | None = None
     elapsed: float = 0.0
+    started: float = field(default_factory=perf_counter, init=False, repr=False, compare=False)
 
-    def finish(self, t0: float) -> "CheckReport":
-        self.elapsed = perf_counter() - t0
+    def finish(self) -> "CheckReport":
+        self.elapsed = perf_counter() - self.started
         if self.failures:
             self.status = "fail"
         elif self.instances_tested > 0:
@@ -73,10 +75,6 @@ class CheckReport:
         else:
             self.status = "skipped"
         return self
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -117,9 +115,15 @@ def _columns(sets, n: int) -> np.ndarray:
     return out.T
 
 
-def _pair_columns(A: GroupSubset, B: GroupSubset) -> tuple:
-    """The (n, 1) boolean columns of one pair of subsets."""
-    return tuple(_columns([S.elements], S.group.n) for S in (A, B))
+def _pair_columns(A: GroupSubset, B: GroupSubset, bound: str) -> tuple:
+    """(group, the (n, 1) boolean columns of A and B) of a nonempty pair in
+    one finite group; ``bound`` names the checked bound in the error."""
+    g = _same_group(A, B)
+    if not isinstance(g, GroupTable):
+        raise ValueError(f"the {bound} bound is checked on finite groups only")
+    if len(A) == 0 or len(B) == 0:
+        raise EmptyInput("A and B must be nonempty")
+    return g, tuple(_columns([S.elements], g.n) for S in (A, B))
 
 
 def _all_pairs(subsets: np.ndarray):
@@ -260,13 +264,11 @@ def _members(column) -> list:
 def _pair_graphs(group: GroupTable, pairs):
     """Each (a_els, b_els) pair of ascending element sequences with its
     graph over the whole group (see ``_block_rows``), gathered in blocks of
-    ``PAIR_BLOCK`` pairs; where every B of a block is its A, one matrix
-    serves both sides."""
+    ``PAIR_BLOCK`` pairs."""
     n, pairs = group.n, iter(pairs)
     while block := list(itertools.islice(pairs, PAIR_BLOCK)):
         a_side, b_side = zip(*block)
-        A = _columns(a_side, n).T
-        rows = _block_rows(group, A, A if a_side == b_side else _columns(b_side, n).T)
+        rows = _block_rows(group, _columns(a_side, n).T, _columns(b_side, n).T)
         ends = itertools.pairwise(itertools.accumulate(map(len, a_side), initial=0))
         for pair, (start, stop) in zip(block, ends):
             yield pair, MatchabilityGraph(left=pair[0], right=range(n), rows=rows[start:stop])
@@ -295,36 +297,30 @@ def _kemperman_block(group: GroupTable, A, B) -> tuple:
 
 def check_kemperman(A: GroupSubset, B: GroupSubset) -> CheckReport:
     """Assert |AB| >= |A| + |B| - 1 when AB has a unique-product element."""
-    t0 = perf_counter()
-    g = _same_group(A, B)
-    if not isinstance(g, GroupTable):
-        raise ValueError("the unique-product bound is checked on finite groups only")
-    if len(A) == 0 or len(B) == 0:
-        raise EmptyInput("A and B must be nonempty")
     report = CheckReport("kemperman")
-    skipped, failures = _kemperman_block(g, *_pair_columns(A, B))
+    g, columns = _pair_columns(A, B, "unique-product")
+    skipped, failures = _kemperman_block(g, *columns)
     if skipped:
         report.flagged.append({"kind": "hypothesis-unmet",
                                "why": "no unique-product element in AB"})
     else:
         report.instances_tested = 1
         report.failures.extend(failures)
-    return report.finish(t0)
+    return report.finish()
 
 
 def sweep_kemperman(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
                     samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
     """Run the product-set bound over all nonempty pairs (A, B), or a
     seeded sample of pairs when the group is over the exhaustive cap."""
-    t0 = perf_counter()
-    blocks, used_seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
-    report = CheckReport("kemperman", seed=used_seed)
+    report = CheckReport("kemperman")
+    blocks, report.seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
     for A, B in blocks:
         skipped, failures = _kemperman_block(group, A, B)
         report.instances_tested += A.shape[1]
         report.instances_skipped += skipped
         report.failures.extend(failures)
-    return report.finish(t0)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +344,8 @@ def check_corollary(U: GroupSubset, V: GroupSubset, X: GroupSubset) -> CheckRepo
     counterexamples are flagged, not failed.  Precondition violations
     produce a skipped report rather than an exception.
     """
-    t0 = perf_counter()
-    g = _same_group(U, V, X)
     report = CheckReport("corollary")
+    g = _same_group(U, V, X)
     why = None
     if len(U) == 0 or len(V) == 0:
         why = "U and V must be nonempty"
@@ -361,14 +356,14 @@ def check_corollary(U: GroupSubset, V: GroupSubset, X: GroupSubset) -> CheckRepo
     if why is not None:
         report.instances_skipped = 1
         report.flagged.append({"kind": "precondition-unmet", "why": why})
-        return report.finish(t0)
+        return report.finish()
     record = _corollary_instance(_els(U), _els(V), _els(X), "given")
     report.instances_tested = 1
     if not record["corrected_holds"]:
         report.failures.append({"kind": "corrected-bound-violated", **record})
     if not record["stated_holds"]:
         report.flagged.append({"kind": "stated-bound-counterexample", **record})
-    return report.finish(t0)
+    return report.finish()
 
 
 def sweep_corollary(group: GroupTable, *,
@@ -381,14 +376,13 @@ def sweep_corollary(group: GroupTable, *,
     complement of the identity.  Stated-bound counterexamples are sorted
     smallest-X first.
     """
-    t0 = perf_counter()
+    report = CheckReport("corollary")
     n = group.n
     if n > order_cap:
         raise SizeLimit("containment-bound sweep", n, order_cap)
     # U and V are subsets of the non-identity elements: the even masks.
     subsets = _columns(map(_bits, range(2, 1 << n, 2)), n)
     x_full = list(range(1, n))
-    report = CheckReport("corollary")
     stated = []
     for U, V in _all_pairs(subsets):
         uv = _product_counts(group, U, V) > 0
@@ -408,7 +402,7 @@ def sweep_corollary(group: GroupTable, *,
     stated.sort(key=lambda r: (r["X_size"], r["U_size"], r["V_size"],
                                r["X"], r["U"], r["V"]))
     report.flagged.extend(stated)
-    return report.finish(t0)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +459,10 @@ def check_olson(A: GroupSubset, B: GroupSubset, *,
                 subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> CheckReport:
     """Search all subgroups for an invariant-subset witness of the bound
     |AB| >= |T| >= |A| + |B| - |H|."""
-    t0 = perf_counter()
-    g = _same_group(A, B)
-    if not isinstance(g, GroupTable):
-        raise ValueError("the invariant-subset bound is checked on finite groups only")
-    if len(A) == 0 or len(B) == 0:
-        raise EmptyInput("A and B must be nonempty")
+    report = CheckReport("olson", instances_tested=1)
+    g, (a_col, b_col) = _pair_columns(A, B, "invariant-subset")
     table = _orbit_table(g, subgroup_cap)
-    a_col, b_col = _pair_columns(A, B)
     found, inside = _olson_block(table, a_col, b_col, _product_counts(g, a_col, b_col) > 0)
-    report = CheckReport("olson")
-    report.instances_tested = 1
     if not found.any():
         report.failures.append({"kind": "no-witness", "A": _els(A), "B": _els(B)})
     else:
@@ -491,7 +478,7 @@ def check_olson(A: GroupSubset, B: GroupSubset, *,
             "T_size": len(t_els),
             "bound": len(A) + len(B) - len(h_els),
         })
-    return report.finish(t0)
+    return report.finish()
 
 
 def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_PAIR_CAP,
@@ -499,17 +486,16 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
                 subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> CheckReport:
     """Witness search over all nonempty pairs (exhaustive up to the cap,
     seeded samples above it)."""
-    t0 = perf_counter()
+    report = CheckReport("olson")
     table = _orbit_table(group, subgroup_cap)
-    blocks, used_seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
-    report = CheckReport("olson", seed=used_seed)
+    blocks, report.seed = _pair_blocks(group.n, exhaustive_cap, samples, seed)
     for A, B in blocks:
         found = _olson_block(table, A, B, _product_counts(group, A, B) > 0)[0]
         report.instances_tested += A.shape[1]
         report.failures.extend({"kind": "no-witness",
                                 "A": _members(A[:, p]), "B": _members(B[:, p])}
                                for p in np.flatnonzero(~found.any(axis=0)))
-    return report.finish(t0)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +530,14 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     check with ``jobs=2``, and CI's traced benchmark smoke test runs that
     row.  It goes when the benchmark definition drops ``pool_row``.
     """
-    t0 = perf_counter()
+    report = CheckReport("automatching")
     n = group.n
     if n > order_cap:
         raise SizeLimit("automatching sweep", n, order_cap)
-    # Every nonempty A without the identity, element 0: the even masks, as
-    # tuples, which the collector untracks, so a block is not rescanned.
+    # Every nonempty A without the identity, element 0: the even masks.
     masks = range(2, 1 << n, 2)
-    report = CheckReport("automatching", instances_tested=len(masks))
-    subsets = map(tuple, map(_bits, masks))
-    for _, graph in _pair_graphs(group, ((a_els, a_els) for a_els in subsets)):
+    report.instances_tested = len(masks)
+    for _, graph in _pair_graphs(group, ((a_els, a_els) for a_els in map(_bits, masks))):
         outcome = _automatching_instance(group, graph)
         if outcome is not None:
             report.failures.append(outcome)
@@ -573,7 +557,7 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
             else:
                 confirmations += 1
     report.flagged.append({"kind": "identity-in-A-confirmations", "count": confirmations})
-    return report.finish(t0)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -652,28 +636,25 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
     null.  A verdict that differs from the prediction is a classification
     mismatch.
     """
-    t0 = perf_counter()
+    report = CheckReport("matching-property")
     _check_samples(samples)
     n = group.n
     if n > order_cap:
         raise SizeLimit("matching-property sweep", n, order_cap)
     predicted = classify(group).predicted_matching_property
     if n <= PROPERTY_EXHAUSTIVE_CAP:
-        mode, used_seed = "exhaustive", None
-        instances = (
+        mode = "exhaustive"
+        report.instances_tested, failed, minimal = _failing_pairs(group, (
             (a_els, b_els)
             for k in range(1, n)
             for a_els in itertools.combinations(range(n), k)
-            for b_els in itertools.combinations(range(1, n), k)
-        )
+            for b_els in itertools.combinations(range(1, n), k)))
     elif predicted:
-        mode, used_seed = "sampled", seed
-        instances = _sized_pairs(n, n - 1, samples, seed)
+        mode, report.seed = "sampled", seed
+        report.instances_tested, failed, minimal = _failing_pairs(
+            group, _sized_pairs(n, n - 1, samples, seed))
     else:
-        mode, used_seed = "certificate", None
-
-    report = CheckReport("matching-property", seed=used_seed)
-    if mode == "certificate":
+        mode = "certificate"
         pair = construct_counterexample(group)
         minimal = _violator_record(pair.left, pair.right, pair.violator)
         report.instances_tested, failed = 1, 1
@@ -681,8 +662,6 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
         if why is not None:
             report.failures.append({"kind": "invalid-certificate", **minimal, "why": why})
             failed, minimal = 0, None
-    else:
-        report.instances_tested, failed, minimal = _failing_pairs(group, instances)
     if failed:
         property_holds = False
     elif mode == "exhaustive" and report.instances_tested:
@@ -704,7 +683,7 @@ def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES
             "property_holds": property_holds,
             "counterexample": minimal,
         })
-    return report.finish(t0)
+    return report.finish()
 
 
 def construct_counterexample(group: GroupTable) -> CounterexamplePair:
@@ -764,7 +743,7 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     on element tuples through the cores of ``find_matching``,
     ``verify_matching`` and ``brute_force_matching``, whose input checks the
     sampler already meets."""
-    t0 = perf_counter()
+    report = CheckReport("lattice-matching", seed=seed)
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if max_size < 1:
@@ -776,7 +755,6 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     group = LatticeGroup(d)
     if (2 * coordinate_bound + 1) ** d <= max_size:
         raise ValueError("coordinate_bound too small for the requested subset size")
-    report = CheckReport("lattice-matching", seed=seed)
     confirmed = 0
     mul = group.mul
     for a_els, b_els in _lattice_pairs(d, trials, max_size, coordinate_bound, seed):
@@ -801,7 +779,7 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
             else:
                 confirmed += 1
     report.flagged.append({"kind": "brute-force-confirmations", "count": confirmed})
-    return report.finish(t0)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -825,12 +803,16 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
-    return _cross_validate(g.mul, A.elements, A.members, B.elements, build_graph(A, B))
+    verdict, why = _cross_validate(g.mul, A.elements, A.members, B.elements, build_graph(A, B))
+    if why is not None:
+        raise CrossValidationError(why)
+    return verdict
 
 
-def _cross_validate(mul, a_els, a_set, b_els, graph: MatchabilityGraph) -> bool:
+def _cross_validate(mul, a_els, a_set, b_els, graph: MatchabilityGraph) -> tuple:
     """cross_validate_hall after its input checks, on A's ascending elements
-    and set, B's ascending elements and the engine's graph of the pair."""
+    and set, B's ascending elements and the engine's graph of the pair:
+    (the common verdict, None), or (None, why the routes disagree)."""
     engine_ok = None not in _maximum_matching(graph)[0]
     brute_ok = _brute_force(mul, a_els, a_set, b_els) is not None
 
@@ -850,41 +832,31 @@ def _cross_validate(mul, a_els, a_set, b_els, graph: MatchabilityGraph) -> bool:
         inter_ok = inter[mask].bit_count() <= len(a_els) - size
         if union_ok != inter_ok:
             s_els = [a_els[i] for i in _bits(mask)]
-            raise CrossValidationError(
-                f"Hall forms disagree on S = {s_els}: union {union_ok}, complement {inter_ok}")
+            return None, (f"Hall forms disagree on S = {s_els}: "
+                          f"union {union_ok}, complement {inter_ok}")
         hall_ok = hall_ok and union_ok
     if not (engine_ok == brute_ok == hall_ok):
-        raise CrossValidationError(
-            f"routes disagree: engine={engine_ok} brute={brute_ok} hall={hall_ok}")
-    return engine_ok
-
-
-def _hall_instance(mul, pair, graph: MatchabilityGraph):
-    """None, or the failure record of a pair of ascending element tuples."""
-    a_els, b_els = pair
-    try:
-        _cross_validate(mul, a_els, frozenset(a_els), b_els, graph)
-    except CrossValidationError as exc:
-        return {"kind": "cross-validation-disagreement",
-                "A": _els(a_els), "B": _els(b_els), "why": str(exc)}
-    return None
+        return None, f"routes disagree: engine={engine_ok} brute={brute_ok} hall={hall_ok}"
+    return engine_ok, None
 
 
 def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
                seed: int = 0) -> CheckReport:
     """Seeded random instances of the three-way Hall cross-validation."""
-    t0 = perf_counter()
-    _check_samples(samples)
     report = CheckReport("hall", seed=seed)
+    _check_samples(samples)
     if group.n < 2:
-        return report.finish(t0)
+        return report.finish()
     # Each distinct pair is decided once.  Every draw counts, and a failing
     # pair appends its record at every draw, for which the draws are redone.
     draws = (group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed)
     outcomes = dict.fromkeys(_sized_pairs(*draws))
-    for pair, graph in _pair_graphs(group, outcomes):
-        outcomes[pair] = _hall_instance(group.mul, pair, graph)
+    for (a_els, b_els), graph in _pair_graphs(group, outcomes):
+        why = _cross_validate(group.mul, a_els, frozenset(a_els), b_els, graph)[1]
+        if why is not None:
+            outcomes[a_els, b_els] = {"kind": "cross-validation-disagreement",
+                                      "A": _els(a_els), "B": _els(b_els), "why": why}
     report.instances_tested = samples
     if any(outcomes.values()):
         report.failures.extend(filter(None, map(outcomes.get, _sized_pairs(*draws))))
-    return report.finish(t0)
+    return report.finish()
