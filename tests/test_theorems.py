@@ -860,14 +860,16 @@ class OppositeLaw(GroupTable):
 
 
 class AlternatingLaw(GroupTable):
-    """s*x alternates between 3 (in A) and 4 (outside A) from call to call."""
+    """s*x runs through ``values`` from call to call; by default it
+    alternates between 3 (in A) and 4 (outside A)."""
 
-    def __init__(self, table):
+    def __init__(self, table, values=(3, 4)):
         super().__init__(table)
         self.calls = itertools.count()
+        self.values = values
 
     def mul(self, a, b):
-        return 3 + next(self.calls) % 2
+        return self.values[next(self.calls) % len(self.values)]
 
 
 class TestHallCrossValidation:
@@ -899,6 +901,28 @@ class TestHallCrossValidation:
         # opposite answers and disagree whichever comes first.
         with pytest.raises(CrossValidationError, match=r"Hall forms disagree on S = \[3\]"):
             cross_validate_hall(subset(g, [3]), subset(g, [3]))
+
+    @pytest.mark.parametrize("values, a_els, b_els, why", [
+        ((3, 4), [1, 3], [2, 4], "routes disagree: engine=True brute=False hall=False"),
+        ((3, 4), [3, 4], [3, 4], "routes disagree: engine=True brute=False hall=False"),
+        ((3, 4), [0, 1, 3], [1, 2, 3],
+         "Hall forms disagree on S = [0, 3]: union True, complement False"),
+        ((3, 4), [1, 2, 4], [2, 3, 4],
+         "Hall forms disagree on S = [1, 4]: union True, complement False"),
+        ((3, 4), [0, 3, 4], [1, 2, 3], "routes disagree: engine=True brute=False hall=False"),
+        # The forms also disagree on S = A here, a later mask.
+        ((3, 4, 4), [0, 4], [1, 2], "Hall forms disagree on S = [0]: union True, complement False"),
+        ((3, 3, 4), [0, 3], [1, 2], "Hall forms disagree on S = [0]: union True, complement False"),
+    ])
+    def test_alternating_law_messages_are_pinned(self, values, a_els, b_els, why):
+        # The oracle's mul calls come first, then the union form's, then the
+        # complement form's, each over A then B ascending; the S named is the
+        # least mask on which the forms disagree.  Pinned from the per-pair
+        # loop.
+        g = AlternatingLaw(make_cyclic(5).table, values)
+        with pytest.raises(CrossValidationError) as raised:
+            cross_validate_hall(subset(g, a_els), subset(g, b_els))
+        assert str(raised.value) == why
 
     def test_sweep_records_disagreeing_forms(self):
         r = sweep_hall(AlternatingLaw(make_cyclic(5).table), samples=60)
