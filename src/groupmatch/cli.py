@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="only 1 is accepted: every check runs in one process")
     p.add_argument("--cap-order", type=int, default=None,
-                   help="override the group-order cap of %s; an error for any other check"
+                   help="override the group-order cap, at least 1, of %s; an error for any "
+                   "other check"
                    % ", ".join(CAPPED_CHECKS))
     add_format(p)
 
@@ -164,6 +165,8 @@ def _cmd_verify(args) -> int:
     if args.jobs != 1:
         raise ValueError(f"--jobs must be 1, got {args.jobs}: the process pool was removed "
                          "and every check runs in one process")
+    if args.cap_order is not None and args.cap_order < 1:
+        raise ValueError(f"--cap-order must be at least 1, got {args.cap_order}")
     group = _resolve_group(args.group)
     if not isinstance(group, GroupTable):
         raise ValueError("verify runs on finite groups; use the lattice command for Z^d")

@@ -159,8 +159,9 @@ def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
     return MatchabilityGraph(left=A.elements, right=B.elements, rows=rows)
 
 
-def _maximum_matching(graph: MatchabilityGraph) -> tuple[list, list]:
-    """Kuhn's augmenting-path algorithm with a fixed ascending scan order.
+def _maximum_matching(rows: tuple, m: int) -> tuple[list, list]:
+    """Kuhn's augmenting-path algorithm with a fixed ascending scan order,
+    on the rows of a graph over m right vertices (see MatchabilityGraph).
 
     The depth-first search keeps its own stack, so path length is not
     bounded by the recursion limit.  Each step takes the lowest right
@@ -174,9 +175,8 @@ def _maximum_matching(graph: MatchabilityGraph) -> tuple[list, list]:
     reset only after an augmentation; the matching found is the same as
     with fresh marks per root.
     """
-    rows, m = graph.rows, len(graph.right)
     bit = _right_bits(m)
-    match_left: list[int | None] = [None] * len(graph.left)
+    match_left: list[int | None] = [None] * len(rows)
     match_right: list[int | None] = [None] * m
     all_right = unvisited = (1 << m) - 1
     for root in range(len(rows)):
@@ -254,7 +254,7 @@ def find_matching(A: GroupSubset, B: GroupSubset):
 
 def _graph_result(group, graph: MatchabilityGraph):
     """A Matching of every left vertex, or a HallViolator in ``group``."""
-    match_left, match_right = _maximum_matching(graph)
+    match_left, match_right = _maximum_matching(graph.rows, len(graph.right))
     if None in match_left:
         return _extract_violator(group, graph, match_left, match_right)
     return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))

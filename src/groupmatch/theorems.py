@@ -26,9 +26,9 @@ from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
 from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
-                       _block_rows, _brute_force, _graph_result, _matching_fault,
-                       _maximum_matching, _python_rows, brute_force_matching, build_graph,
-                       find_matching)
+                       _block_rows, _brute_force, _extract_violator, _graph_result,
+                       _matching_fault, _maximum_matching, _python_rows, brute_force_matching,
+                       build_graph, find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -262,16 +262,17 @@ def _members(column) -> list:
 
 
 def _pair_graphs(group: GroupTable, pairs):
-    """Each (a_els, b_els) pair of ascending element sequences with its
-    graph over the whole group (see ``_block_rows``), gathered in blocks of
-    ``PAIR_BLOCK`` pairs."""
+    """Blocks of up to ``PAIR_BLOCK`` (a_els, b_els) pairs of ascending
+    element sequences, each as (pairs, A, rows): A is the boolean (P, n)
+    matrix whose row p marks the elements of A_p, and rows[p] the graph
+    rows of pair p over the whole group (see ``_block_rows``)."""
     n, pairs = group.n, iter(pairs)
     while block := list(itertools.islice(pairs, PAIR_BLOCK)):
         a_side, b_side = zip(*block)
-        rows = _block_rows(group, _columns(a_side, n).T, _columns(b_side, n).T)
+        A = _columns(a_side, n).T
+        rows = _block_rows(group, A, _columns(b_side, n).T)
         ends = itertools.pairwise(itertools.accumulate(map(len, a_side), initial=0))
-        for pair, (start, stop) in zip(block, ends):
-            yield pair, MatchabilityGraph(left=pair[0], right=range(n), rows=rows[start:stop])
+        yield block, A, [rows[start:stop] for start, stop in ends]
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +503,46 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 # Automatching: a matching A -> A exists iff the identity is outside A
 
 
-def _automatching_instance(group, graph: MatchabilityGraph):
-    """The failure record of A -> A, or None, from A's graph over the whole
-    group (see ``_pair_graphs``)."""
-    result, a_els = _graph_result(group, graph), graph.left
-    if isinstance(result, HallViolator):
-        return {"kind": "automatching-violator", "A": _els(a_els), **violator_json(result)}
-    a_set = frozenset(a_els)
-    why = _matching_fault(group, a_set, a_set, result.pairs)
-    if why is not None:
-        return {"kind": "invalid-matching", "A": _els(a_els), "why": why}
-    return None
+def _automatching_block(group: GroupTable, block, A, rows) -> list:
+    """The failure records of a block of pairs (A, A) (see ``_pair_graphs``),
+    in block order.  Kuhn's search runs per instance, and the block's
+    matchings are checked together for ``_matching_fault``'s reasons, in its
+    order.  The search gives one right element per left one, so the pair
+    count holds and the left elements are A's.  One sort of the block's
+    right elements tests that each φ is onto A; then one flat pass of
+    ``mul(a, φ(a))`` calls, each product looked up in its A's row, tests
+    that the products lie outside A."""
+    n, label = group.n, group.label
+    records, matched, images = {}, [], []
+    for p, a_rows in enumerate(rows):
+        match_left, match_right = _maximum_matching(a_rows, n)
+        if None in match_left:
+            a_els = block[p][0]
+            graph = MatchabilityGraph(left=a_els, right=range(n), rows=a_rows)
+            records[p] = {"kind": "automatching-violator", "A": _els(a_els),
+                          **violator_json(_extract_violator(group, graph, match_left, match_right))}
+        else:
+            matched.append(p)
+            images += match_left
+    if matched:
+        pair, lefts = np.nonzero(A[matched])
+        pair = np.array(matched)[pair]
+        products = list(map(group.mul, lefts.tolist(), images))
+        # The keys of a pair lie in [pair * n, pair * n + n), so the sort keeps
+        # them in their pair's span, where they equal A's iff φ is onto A.
+        keys = np.sort(pair * n + images)
+        not_onto = np.zeros(len(rows), bool)
+        not_onto[pair[keys != pair * n + lefts]] = True
+        whys = dict.fromkeys(np.flatnonzero(not_onto).tolist(),
+                             "not bijective: right elements do not cover B exactly once")
+        inside = np.flatnonzero(A[pair, products] & ~not_onto[pair])
+        # The first of each pair's products in A: pair ascends with the index.
+        for i in inside[np.diff(pair[inside], prepend=-1) != 0].tolist():
+            a, b, c = int(lefts[i]), images[i], products[i]
+            whys[int(pair[i])] = f"pair ({label(a)}, {label(b)}): product {label(c)} lies in A"
+        records.update((p, {"kind": "invalid-matching", "A": _els(block[p][0]), "why": why})
+                       for p, why in whys.items())
+    return [records[p] for p in sorted(records)]
 
 
 def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHING_CAP,
@@ -537,10 +567,8 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     # Every nonempty A without the identity, element 0: the even masks.
     masks = range(2, 1 << n, 2)
     report.instances_tested = len(masks)
-    for _, graph in _pair_graphs(group, ((a_els, a_els) for a_els in map(_bits, masks))):
-        outcome = _automatching_instance(group, graph)
-        if outcome is not None:
-            report.failures.append(outcome)
+    for block, A, rows in _pair_graphs(group, ((a_els, a_els) for a_els in map(_bits, masks))):
+        report.failures.extend(_automatching_block(group, block, A, rows))
 
     confirmations = 0
     for k in range(0, min(IDENTITY_CONFIRMATION_CAP - 1, n - 1) + 1):
@@ -597,17 +625,19 @@ def _failing_pairs(group: GroupTable, instances) -> tuple:
     None) over the instances (see ``_pair_graphs``).  Each pair is decided
     by Kuhn's search alone; the minimal pair is the least by |A|, then
     lexicographically, and its record, from its graph, is the only one."""
-    tested, failed, least = 0, 0, None
-    for pair, graph in _pair_graphs(group, instances):
-        tested += 1
-        if None in _maximum_matching(graph)[0]:
-            failed += 1
-            key = (len(pair[0]), pair)
-            if least is None or key < least[0]:
-                least = key, graph
+    tested, failed, least, n = 0, 0, None, group.n
+    for block, _, rows in _pair_graphs(group, instances):
+        tested += len(block)
+        for pair, a_rows in zip(block, rows):
+            if None in _maximum_matching(a_rows, n)[0]:
+                failed += 1
+                key = (len(pair[0]), pair)
+                if least is None or key < least[0]:
+                    least = key, a_rows
     if least is None:
         return tested, failed, None
-    (_, (a_els, b_els)), graph = least
+    (_, (a_els, b_els)), rows = least
+    graph = MatchabilityGraph(left=a_els, right=range(n), rows=rows)
     return tested, failed, _violator_record(a_els, b_els, _graph_result(group, graph))
 
 
@@ -803,41 +833,76 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
-    verdict, why = _cross_validate(g.mul, A.elements, A.members, B.elements, build_graph(A, B))
+    (verdict, why), = _hall_block(g.mul, [(A.elements, B.elements)], [build_graph(A, B).rows],
+                                  len(B))
     if why is not None:
         raise CrossValidationError(why)
     return verdict
 
 
-def _cross_validate(mul, a_els, a_set, b_els, graph: MatchabilityGraph) -> tuple:
-    """cross_validate_hall after its input checks, on A's ascending elements
-    and set, B's ascending elements and the engine's graph of the pair:
-    (the common verdict, None), or (None, why the routes disagree)."""
-    engine_ok = None not in _maximum_matching(graph)[0]
-    brute_ok = _brute_force(mul, a_els, a_set, b_els) is not None
+def _hall_forms(cand: np.ndarray, stay: np.ndarray) -> tuple:
+    """(union_ok, inter_ok) of Hall's two forms, boolean (P, 2**k - 1), for
+    P pairs with |A| = |B| = k; column mask - 1 is the S of the a_i with bit
+    i of mask set.  ``cand[p, i, j]`` says that a_i*b_j lies outside A_p,
+    and ``stay[p, i, j]``, read from products of its own, that it lies
+    inside: the union of the candidate sets of S holds the b_j that some
+    a_i in S reaches, and the stable set the b_j that every a_i in S keeps
+    in A."""
+    k = cand.shape[1]
+    member = (np.arange(1, 1 << k)[:, None] >> np.arange(k) & 1).astype(np.uint8)
+    size = member.sum(axis=1)
+    union = np.count_nonzero(member @ cand.view(np.uint8) > 0, axis=2)
+    stable = np.count_nonzero(member @ stay.view(np.uint8) == size[:, None], axis=2)
+    return union >= size, stable <= k - size
 
-    # Row masks over B, one per s in A, each built from the group law on its own.
-    cand = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) not in a_set) for s in a_els]
-    stay = [sum(1 << j for j, x in enumerate(b_els) if mul(s, x) in a_set) for s in a_els]
-    # Both forms of S extend those of S minus its lowest member, index i.
-    union, inter = [0] * (1 << len(a_els)), [(1 << len(b_els)) - 1] * (1 << len(a_els))
-    hall_ok = True
-    for mask in range(1, 1 << len(a_els)):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        union[mask] = union[mask ^ low] | cand[i]
-        inter[mask] = inter[mask ^ low] & stay[i]
-        size = mask.bit_count()
-        union_ok = union[mask].bit_count() >= size
-        inter_ok = inter[mask].bit_count() <= len(a_els) - size
-        if union_ok != inter_ok:
+
+def _hall_block(mul, block, rows, m: int) -> list:
+    """cross_validate_hall after its input checks, on a block of (a_els,
+    b_els) pairs of ascending elements, |A| = |B|, with each pair's graph
+    rows over m right vertices: for each pair (the common verdict, None) or
+    (None, why the routes disagree).  Kuhn's search and the brute-force
+    oracle run per pair, the oracle first.  Then one flat pass of ``mul``
+    over the block makes each pair's products in the order of a per-pair
+    loop: a then b ascending for the union form, then again, by calls of
+    their own, for the complement form.  ``_hall_forms`` evaluates both
+    forms over the pairs of each size, and the S named when they disagree
+    is the least mask."""
+    a_sets = [frozenset(a_els) for a_els, _ in block]
+    engine = [None not in _maximum_matching(a_rows, m)[0] for a_rows in rows]
+    brute = [_brute_force(mul, a_els, a_set, b_els) is not None
+             for (a_els, b_els), a_set in zip(block, a_sets)]
+    sizes = np.array([len(a_els) for a_els, _ in block])
+    lefts = [a for a_els, b_els in block for a in a_els * 2 for _ in b_els]
+    rights = [b for a_els, b_els in block for _ in a_els * 2 for b in b_els]
+    owners = [a_set for a_set, k in zip(a_sets, sizes.tolist()) for _ in range(2 * k * k)]
+    inside = np.fromiter(map(frozenset.__contains__, owners, map(mul, lefts, rights)), bool,
+                         len(lefts))
+    starts = np.cumsum(2 * sizes * sizes) - 2 * sizes * sizes
+    # Per pair: the least mask on which the forms disagree (0: none), the
+    # union form's verdict there, and Hall's verdict from the union form.
+    masks, union_at, hall = (np.zeros(len(block), t) for t in (int, bool, bool))
+    for k in sorted(set(sizes.tolist())):
+        pairs = np.flatnonzero(sizes == k)
+        cells = inside[starts[pairs, None] + np.arange(2 * k * k)].reshape(-1, 2, k, k)
+        union_ok, inter_ok = _hall_forms(~cells[:, 0], cells[:, 1])
+        disagree = union_ok != inter_ok
+        first = disagree.argmax(axis=1)
+        masks[pairs] = np.where(disagree.any(axis=1), first + 1, 0)
+        union_at[pairs] = union_ok[np.arange(len(pairs)), first]
+        hall[pairs] = union_ok.all(axis=1)
+    outcomes = []
+    for (a_els, _), engine_ok, brute_ok, mask, union, hall_ok in zip(
+            block, engine, brute, masks.tolist(), union_at.tolist(), hall.tolist()):
+        if mask:
             s_els = [a_els[i] for i in _bits(mask)]
-            return None, (f"Hall forms disagree on S = {s_els}: "
-                          f"union {union_ok}, complement {inter_ok}")
-        hall_ok = hall_ok and union_ok
-    if not (engine_ok == brute_ok == hall_ok):
-        return None, f"routes disagree: engine={engine_ok} brute={brute_ok} hall={hall_ok}"
-    return engine_ok, None
+            outcomes.append((None, f"Hall forms disagree on S = {s_els}: "
+                                   f"union {union}, complement {not union}"))
+        elif not (engine_ok == brute_ok == hall_ok):
+            outcomes.append((None, f"routes disagree: engine={engine_ok} brute={brute_ok} "
+                                   f"hall={hall_ok}"))
+        else:
+            outcomes.append((engine_ok, None))
+    return outcomes
 
 
 def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
@@ -851,11 +916,11 @@ def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
     # pair appends its record at every draw, for which the draws are redone.
     draws = (group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed)
     outcomes = dict.fromkeys(_sized_pairs(*draws))
-    for (a_els, b_els), graph in _pair_graphs(group, outcomes):
-        why = _cross_validate(group.mul, a_els, frozenset(a_els), b_els, graph)[1]
-        if why is not None:
-            outcomes[a_els, b_els] = {"kind": "cross-validation-disagreement",
-                                      "A": _els(a_els), "B": _els(b_els), "why": why}
+    for block, _, rows in _pair_graphs(group, outcomes):
+        for (a_els, b_els), (_, why) in zip(block, _hall_block(group.mul, block, rows, group.n)):
+            if why is not None:
+                outcomes[a_els, b_els] = {"kind": "cross-validation-disagreement",
+                                          "A": _els(a_els), "B": _els(b_els), "why": why}
     report.instances_tested = samples
     if any(outcomes.values()):
         report.failures.extend(filter(None, map(outcomes.get, _sized_pairs(*draws))))

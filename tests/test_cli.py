@@ -127,6 +127,17 @@ class TestVerifyCommand:
         assert "does not apply to kemperman:" in out
         assert ran == []
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_order_below_one_rejected_before_any_check(self, capsys, monkeypatch, cap):
+        ran = []
+        monkeypatch.setattr(cli, "sweep_olson", lambda *args, **kwargs: ran.append("olson"))
+        code, out = run(capsys, "verify", "C6", "--checks", "olson", "--cap-order", cap,
+                        "--format", "machine")
+        assert code == 2 and ran == []
+        error = json.loads(out)["error"]
+        assert error == {"type": "ValueError",
+                         "message": f"--cap-order must be at least 1, got {cap}"}
+
     def test_cap_order_still_sets_olson_subgroup_cap(self, capsys):
         code, out = run(capsys, "verify", "C6", "--checks", "olson", "--cap-order", "5")
         assert code == 2

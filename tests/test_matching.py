@@ -236,7 +236,7 @@ class TestEngineAtScale:
         violators = 0
         for A, B in _seeded_pairs(group, [1, 8, 24, 40, 48, 56, 60, 62, 63] * 4, rng):
             graph = build_graph(A, B)
-            match_left, match_right = _maximum_matching(graph)
+            match_left, match_right = _maximum_matching(graph.rows, len(graph.right))
             assert (match_left, match_right) == _reference_kuhn(graph)
             violators += None in match_left
         assert violators >= 8

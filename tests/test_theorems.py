@@ -48,9 +48,9 @@ from groupmatch.matching import MatchabilityGraph, _bits, _block_rows, _graph_re
 from groupmatch.reports import elements_json
 from groupmatch.subsets import candidate_set, product_set, stable_set, unique_products
 from groupmatch.theorems import (DEFAULT_HALL_SAMPLES, HALL_MAX_SIZE, PAIR_BLOCK,
-                                 PROPERTY_EXHAUSTIVE_CAP, _automatching_instance,
-                                 _columns, _failing_pairs, _product_counts, _sampled_pairs,
-                                 _sized_pairs)
+                                 PROPERTY_EXHAUSTIVE_CAP, _automatching_block,
+                                 _columns, _failing_pairs, _pair_graphs, _product_counts,
+                                 _sampled_pairs, _sized_pairs)
 
 
 def subset(group, els):
@@ -440,6 +440,48 @@ class TestAutomatchingFaultRecords:
             "flagged": [{"kind": "identity-in-A-confirmations", "count": 16}],
         }
 
+    @pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "D6"])
+    def test_block_check_equals_verify_matching(self, spec):
+        # Under the opposite law the engine's matchings come from the table
+        # while the products come from mul, so some A fail and others pass;
+        # D6's 2,047 instances span two blocks.  The reference checks each
+        # matching through the public API.
+        g = parse_group_spec(spec)
+        opposite = OppositeLaw(g.table, names=g.names, name=g.name)
+        expected = []
+        for mask in range(2, 1 << g.n, 2):
+            A = subset(opposite, _bits(mask))
+            reason = verify_matching(A, A, find_matching(A, A)).reason
+            if reason is not None:
+                expected.append({"kind": "invalid-matching", "A": _bits(mask), "why": reason})
+        assert 0 < len(expected) < 2 ** (g.n - 1) - 1
+        assert check_automatching(opposite).failures == expected
+
+    @pytest.mark.parametrize("spec", ["C5", "D5"])
+    def test_repeated_right_vertex_fails_only_its_instance(self, monkeypatch, spec):
+        # Every A of the sweep lies in one block.  The engine gives the third
+        # element of one A the image of its first; the block's sort must name
+        # that A alone, for the bijection, while the products of every other
+        # A are checked in the same pass.
+        g = parse_group_spec(spec)
+        masks = range(2, 1 << g.n, 2)
+        index = 100 % len(masks)
+        target = _bits(masks[index])
+        assert len(masks) <= PAIR_BLOCK and len(target) >= 3
+        kuhn, calls = theorems._maximum_matching, itertools.count()
+
+        def engine(rows, m):
+            match_left, match_right = kuhn(rows, m)
+            if next(calls) == index:
+                match_left[2] = match_left[0]
+            return match_left, match_right
+
+        monkeypatch.setattr(theorems, "_maximum_matching", engine)
+        r = check_automatching(g)
+        assert r.instances_tested == len(masks)
+        assert r.failures == [{"kind": "invalid-matching", "A": target,
+                               "why": "not bijective: right elements do not cover B exactly once"}]
+
 
 def engine_result(group, a_els, b_els):
     """find_matching on GroupSubsets, with every matching verified."""
@@ -501,8 +543,10 @@ class TestMaskInstancePath:
             expected = engine_result(g, a_els, a_els)
             assert isinstance(expected, Matching)
             assert block_result(g, a_els, rows) == expected
-            graph = MatchabilityGraph(left=a_els, right=range(g.n), rows=rows)
-            assert _automatching_instance(g, graph) is None
+        # Every instance of the sweep's one block, on the same rows, has no record.
+        (block, A, rows), = _pair_graphs(g, pairs)
+        assert (block, rows) == (pairs, block_rows(g, pairs))
+        assert _automatching_block(g, block, A, rows) == []
 
     @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "S4", "C24", "D12"])
     def test_stay_tables_against_mul(self, spec):
