@@ -127,12 +127,14 @@ def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
 
 
 def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
-    # One gather of the products from the Cayley table, one lookup of
-    # membership in A, each row packed little-endian over B reversed, so
-    # that bit m - 1 - j is B.elements[j].
+    # The products gathered from the Cayley table, A's rows first and then
+    # B's columns reversed (faster than one np.ix_ gather), one lookup of
+    # membership in A, each row packed little-endian, so that bit m - 1 - j
+    # is B.elements[j].  A fancy index, not in_A.take, does the lookup:
+    # take would cast the whole product array to intp.
     in_A = np.zeros(A.group.n, dtype=bool)
     in_A[list(A.elements)] = True
-    products = A.group.array[np.ix_(A.elements, B.elements[::-1])]
+    products = A.group.array.take(A.elements, axis=0).take(B.elements[::-1], axis=1)
     return _pack_rows(~in_A[products])
 
 
@@ -208,6 +210,55 @@ def _maximum_matching(rows: tuple, m: int) -> tuple[list, list]:
     return match_left, match_right
 
 
+def _free_first_matching(rows: tuple, m: int) -> tuple[list, list]:
+    """Some maximum matching of the rows of a graph over m right vertices,
+    found faster than Kuhn's canonical one when it need not be that one.
+
+    A left vertex with a free candidate takes the lowest one at once, at any
+    depth of the search; otherwise the search steps as in
+    ``_maximum_matching``, on the same rows and stack.  No free vertex is
+    ever marked visited, so a failed search leaves only matched vertices
+    marked, whose partners reach no free vertex, and the marks carry over:
+    across a length-1 augmentation, which rematches no marked vertex, and
+    until a longer one, which resets them.  A root that fails has no
+    augmenting path and never gets one later (Kuhn), so the matching is
+    maximum.
+    """
+    bit = _right_bits(m)
+    match_left: list[int | None] = [None] * len(rows)
+    match_right: list[int | None] = [None] * m
+    all_right = unvisited = free = (1 << m) - 1
+    for root in range(len(rows)):
+        lefts = [root]
+        u = root
+        while True:
+            direct = rows[u] & free
+            if direct:
+                v = m - direct.bit_length()
+                free ^= bit[v]
+                for u in reversed(lefts):
+                    match_right[v] = u
+                    match_left[u], v = v, match_left[u]
+                if len(lefts) > 1:
+                    unvisited = all_right
+                break
+            # u has no free candidate, so every one still unvisited is matched.
+            avail = rows[u] & unvisited
+            while not avail:
+                lefts.pop()
+                if not lefts:
+                    break
+                u = lefts[-1]
+                avail = rows[u] & unvisited
+            if not avail:
+                break
+            v = m - avail.bit_length()
+            unvisited ^= bit[v]
+            u = match_right[v]
+            lefts.append(u)
+    return match_left, match_right
+
+
 def _extract_violator(group, graph: MatchabilityGraph,
                       match_left, match_right) -> HallViolator:
     # Alternating BFS from every unmatched left vertex; the reachable left
@@ -238,8 +289,11 @@ def find_matching(A: GroupSubset, B: GroupSubset):
 
     The two necessary conditions are enforced as structured errors rather
     than certificates: |A| != |B| raises SizeMismatch and an identity in B
-    raises IdentityInB.  Output is deterministic: left vertices are tried
-    in ascending order and each candidate row is scanned ascending.
+    raises IdentityInB.  Existence is decided by ``_free_first_matching``.
+    A returned Matching is still Kuhn's (``_maximum_matching``: left
+    vertices tried in ascending order, each candidate row scanned
+    ascending), and a returned HallViolator is the same for every maximum
+    matching (Dulmage-Mendelsohn), so output is deterministic.
     """
     _same_group(A, B)
     if len(A) == 0 or len(B) == 0:
@@ -253,10 +307,18 @@ def find_matching(A: GroupSubset, B: GroupSubset):
 
 
 def _graph_result(group, graph: MatchabilityGraph):
-    """A Matching of every left vertex, or a HallViolator in ``group``."""
-    match_left, match_right = _maximum_matching(graph.rows, len(graph.right))
+    """A Matching of every left vertex, or a HallViolator in ``group``.
+
+    The free-first search decides which.  The left vertices its maximum
+    matching leaves free reach, by alternating paths, the same Hall
+    violator as from any other maximum matching (the Dulmage-Mendelsohn
+    decomposition), so the violator is read from it; only a perfect
+    matching to hand back needs Kuhn's canonical search.
+    """
+    match_left, match_right = _free_first_matching(graph.rows, len(graph.right))
     if None in match_left:
         return _extract_violator(group, graph, match_left, match_right)
+    match_left, _ = _maximum_matching(graph.rows, len(graph.right))
     return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))
 
 

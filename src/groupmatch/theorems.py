@@ -25,10 +25,10 @@ import numpy as np
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
-                       _block_rows, _brute_force, _extract_violator, _graph_result,
-                       _matching_fault, _maximum_matching, _python_rows, brute_force_matching,
-                       build_graph, find_matching)
+from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, _bits,
+                       _block_rows, _brute_force, _extract_violator, _free_first_matching,
+                       _graph_result, _matching_fault, _maximum_matching, _python_rows,
+                       brute_force_matching, build_graph, find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -623,13 +623,14 @@ def _certificate_fault(group: GroupTable, record: dict) -> str | None:
 def _failing_pairs(group: GroupTable, instances) -> tuple:
     """(pairs tested, pairs failed, record of the minimal failing pair or
     None) over the instances (see ``_pair_graphs``).  Each pair is decided
-    by Kuhn's search alone; the minimal pair is the least by |A|, then
-    lexicographically, and its record, from its graph, is the only one."""
+    by the free-first search alone; the minimal pair is the least by |A|,
+    then lexicographically, and its record, from its graph, is the only
+    one."""
     tested, failed, least, n = 0, 0, None, group.n
     for block, _, rows in _pair_graphs(group, instances):
         tested += len(block)
         for pair, a_rows in zip(block, rows):
-            if None in _maximum_matching(a_rows, n)[0]:
+            if None in _free_first_matching(a_rows, n)[0]:
                 failed += 1
                 key = (len(pair[0]), pair)
                 if least is None or key < least[0]:
@@ -772,7 +773,8 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     are also confirmed against the brute-force bijection oracle.  Trials run
     on element tuples through the cores of ``find_matching``,
     ``verify_matching`` and ``brute_force_matching``, whose input checks the
-    sampler already meets."""
+    sampler already meets.  The report names no matching, so each trial is
+    decided and checked on the free-first search's matching alone."""
     report = CheckReport("lattice-matching", seed=seed)
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
@@ -789,16 +791,18 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     mul = group.mul
     for a_els, b_els in _lattice_pairs(d, trials, max_size, coordinate_bound, seed):
         a_set = frozenset(a_els)
-        graph = MatchabilityGraph(left=a_els, right=b_els,
-                                  rows=_python_rows(mul, a_els, a_set, b_els))
-        result = _graph_result(group, graph)
+        rows = _python_rows(mul, a_els, a_set, b_els)
+        match_left, match_right = _free_first_matching(rows, len(b_els))
         report.instances_tested += 1
-        matched = isinstance(result, Matching)
+        matched = None not in match_left
         if not matched:
+            graph = MatchabilityGraph(left=a_els, right=b_els, rows=rows)
+            violator = _extract_violator(group, graph, match_left, match_right)
             report.failures.append({
                 "kind": "lattice-violator", "A": _els(a_els), "B": _els(b_els),
-                "S": _els(result.subset), "deficiency": result.deficiency})
-        elif _matching_fault(group, a_set, frozenset(b_els), result.pairs) is not None:
+                "S": _els(violator.subset), "deficiency": violator.deficiency})
+        elif _matching_fault(group, a_set, frozenset(b_els),
+                             tuple(zip(a_els, map(b_els.__getitem__, match_left)))) is not None:
             report.failures.append({"kind": "invalid-matching", "A": _els(a_els), "B": _els(b_els)})
         if len(a_els) <= LATTICE_CONFIRMATION_CAP:
             brute = _brute_force(mul, a_els, a_set, b_els) is not None
@@ -860,15 +864,15 @@ def _hall_block(mul, block, rows, m: int) -> list:
     """cross_validate_hall after its input checks, on a block of (a_els,
     b_els) pairs of ascending elements, |A| = |B|, with each pair's graph
     rows over m right vertices: for each pair (the common verdict, None) or
-    (None, why the routes disagree).  Kuhn's search and the brute-force
-    oracle run per pair, the oracle first.  Then one flat pass of ``mul``
-    over the block makes each pair's products in the order of a per-pair
-    loop: a then b ascending for the union form, then again, by calls of
-    their own, for the complement form.  ``_hall_forms`` evaluates both
-    forms over the pairs of each size, and the S named when they disagree
-    is the least mask."""
+    (None, why the routes disagree).  The free-first search, which decides
+    ``find_matching``, and the brute-force oracle run per pair, the oracle
+    first.  Then one flat pass of ``mul`` over the block makes each pair's
+    products in the order of a per-pair loop: a then b ascending for the
+    union form, then again, by calls of their own, for the complement form.
+    ``_hall_forms`` evaluates both forms over the pairs of each size, and
+    the S named when they disagree is the least mask."""
     a_sets = [frozenset(a_els) for a_els, _ in block]
-    engine = [None not in _maximum_matching(a_rows, m)[0] for a_rows in rows]
+    engine = [None not in _free_first_matching(a_rows, m)[0] for a_rows in rows]
     brute = [_brute_force(mul, a_els, a_set, b_els) is not None
              for (a_els, b_els), a_set in zip(block, a_sets)]
     sizes = np.array([len(a_els) for a_els, _ in block])

@@ -28,8 +28,8 @@ from groupmatch import (
     verify_matching,
 )
 from groupmatch import matching
-from groupmatch.matching import (MatchabilityGraph, _block_rows, _graph_result,
-                                 _maximum_matching)
+from groupmatch.matching import (MatchabilityGraph, _block_rows, _extract_violator,
+                                 _free_first_matching, _graph_result, _maximum_matching)
 from groupmatch.subsets import candidate_set
 from groupmatch.theorems import _failing_pairs
 
@@ -241,6 +241,19 @@ class TestEngineAtScale:
             violators += None in match_left
         assert violators >= 8
 
+    @pytest.mark.parametrize("group", [make_dihedral(32), make_cyclic(64)], ids=["d32", "c64"])
+    def test_find_matching_returns_kuhns_matching(self, group):
+        # The free-first search decides; the Matching handed back is Kuhn's.
+        rng = random.Random(f"kuhn/{group.name}")
+        perfect = 0
+        for A, B in _seeded_pairs(group, [1, 8, 24, 40, 48, 56, 60, 62, 63] * 4, rng):
+            result = find_matching(A, B)
+            if isinstance(result, Matching):
+                match_left, _ = _reference_kuhn(build_graph(A, B))
+                assert result.pairs == tuple(zip(A.elements, (B.elements[v] for v in match_left)))
+                perfect += 1
+        assert perfect >= 8
+
     def test_no_recursion_limit(self):
         c1280 = make_cyclic(1280)
         A = GroupSubset(c1280, random.Random(0).sample(range(1, 1280), 1216))
@@ -274,6 +287,92 @@ class TestEngineAtScale:
                 assert all(u in cover or v in cover for u, v in G.edges)
             outcomes.add(type(r))
         assert outcomes == {Matching, HallViolator}
+
+
+def _reference_free_first(rows, m):
+    """Recursive free-first search with a fresh visited set per root: a left
+    vertex with a free candidate takes the lowest, else the candidates are
+    tried ascending, as in _reference_kuhn."""
+    match_left, match_right = [None] * len(rows), [None] * m
+    candidates = [matching._positions(row, m) for row in rows]
+
+    def augment(u, visited):
+        for v in candidates[u]:
+            if match_right[v] is None:
+                match_left[u], match_right[v] = v, u
+                return True
+        for v in candidates[u]:
+            if v not in visited:
+                visited.add(v)
+                if augment(match_right[v], visited):
+                    match_left[u], match_right[v] = v, u
+                    return True
+        return False
+
+    for u in range(len(rows)):
+        augment(u, set())
+    return match_left, match_right
+
+
+def _is_matching(rows, m, match_left, match_right):
+    """Each matched left vertex takes a candidate of its row, and the two
+    sides of the matching mirror each other."""
+    pairs = [(u, v) for u, v in enumerate(match_left) if v is not None]
+    return (all(rows[u] >> (m - 1 - v) & 1 for u, v in pairs)
+            and sorted((u, v) for v, u in enumerate(match_right) if u is not None) == pairs)
+
+
+class TestFreeFirstSearch:
+    """The free-first search finds some maximum matching, and from it the
+    same Hall violator as Kuhn's (the Dulmage-Mendelsohn decomposition)."""
+
+    def _check_graph(self, group, graph) -> tuple:
+        m = len(graph.right)
+        free_first = _free_first_matching(graph.rows, m)
+        kuhn = _maximum_matching(graph.rows, m)
+        assert _is_matching(graph.rows, m, *free_first)
+        assert free_first == _reference_free_first(graph.rows, m)
+        assert free_first[0].count(None) == kuhn[0].count(None)
+        perfect = None not in kuhn[0]
+        if not perfect:
+            assert (_extract_violator(group, graph, *free_first)
+                    == _extract_violator(group, graph, *kuhn))
+        return perfect, free_first != kuhn
+
+    def test_random_row_sets(self):
+        group, rng = make_cyclic(12), random.Random("free-first")
+        outcomes, differ = set(), 0
+        for _ in range(2400):
+            k = rng.randint(1, 12)
+            m = rng.randint(k, 12)
+            density = rng.random()
+            rows = tuple(sum(1 << p for p in range(m) if rng.random() < density)
+                         for _ in range(k))
+            graph = MatchabilityGraph(left=tuple(range(k)), right=tuple(range(m)), rows=rows)
+            perfect, other = self._check_graph(group, graph)
+            outcomes.add(perfect)
+            differ += other
+        assert outcomes == {True, False}
+        assert differ >= 100
+
+    @pytest.mark.parametrize("group", [make_dihedral(32), make_cyclic(64)], ids=["d32", "c64"])
+    def test_seeded_pairs(self, group):
+        rng = random.Random(f"kuhn/{group.name}")
+        outcomes = [self._check_graph(group, build_graph(A, B))[0]
+                    for A, B in _seeded_pairs(group, [1, 8, 24, 40, 48, 56, 60, 62, 63] * 4, rng)]
+        assert outcomes.count(False) >= 8 and outcomes.count(True) >= 8
+
+    def test_marks_across_direct_and_longer_augmentations(self):
+        # Root 1 fails and leaves 0 marked.  Roots 2 and 3 each take a free
+        # candidate at once, which keeps that mark, so root 4 skips 0 and
+        # augments through 1 and root 2's free 3.  That longer augmentation
+        # resets the marks, or root 5 could not pass through 1, which root
+        # 4 visited, to reach root 3's free 4 over root 4's 2.
+        candidates = [{0}, {0}, {1, 3}, {2, 4}, {0, 1, 2}, {1}]
+        rows = tuple(sum(1 << (4 - v) for v in row) for row in candidates)
+        match_left, match_right = _free_first_matching(rows, 5)
+        assert match_left == [0, None, 3, 4, 2, 1]
+        assert match_right == [0, 5, 4, 2, 3]
 
 
 class TestVerifyMatching:
