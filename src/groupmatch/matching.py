@@ -52,7 +52,7 @@ class MatchabilityGraph:
     Rows are stored most significant bit first: with m = len(right), bit
     m - 1 - j of ``rows[i]`` is set iff ``left[i]`` may be matched to
     ``right[j]``.  The lowest candidate of a row is then m minus its
-    ``bit_length()``, which Kuhn's search reads in one step.
+    ``bit_length()``, which the matching search reads in one step.
     ``adjacency[i]`` lists the positions j as an ascending tuple; it is
     derived from ``rows`` on first read.
     """
@@ -161,74 +161,31 @@ def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
     return MatchabilityGraph(left=A.elements, right=B.elements, rows=rows)
 
 
-def _maximum_matching(rows: tuple, m: int) -> tuple[list, list]:
-    """Kuhn's augmenting-path algorithm with a fixed ascending scan order,
-    on the rows of a graph over m right vertices (see MatchabilityGraph).
-
-    The depth-first search keeps its own stack, so path length is not
-    bounded by the recursion limit.  Each step takes the lowest right
-    vertex of ``rows[u] & unvisited``, which is where an ascending scan of
-    the row would resume; as rows are stored most significant bit first,
-    that vertex is m minus the ``bit_length()`` of the candidates, and its
-    bit is read from a tuple cached per width m rather than built by a
-    shift on every step.  A failed search leaves the matching unchanged
-    and every right vertex it visited reaches only matched vertices it
-    also visited, so the visited marks carry over to the next root and are
-    reset only after an augmentation; the matching found is the same as
-    with fresh marks per root.
-    """
-    bit = _right_bits(m)
-    match_left: list[int | None] = [None] * len(rows)
-    match_right: list[int | None] = [None] * m
-    all_right = unvisited = (1 << m) - 1
-    for root in range(len(rows)):
-        # lefts[k + 1] is the partner of the right vertex taken from lefts[k];
-        # u is the last of them.
-        lefts = [root]
-        u = root
-        while True:
-            avail = rows[u] & unvisited
-            if not avail:
-                lefts.pop()
-                if not lefts:
-                    break
-                u = lefts[-1]
-                continue
-            v = m - avail.bit_length()
-            unvisited ^= bit[v]
-            w = match_right[v]
-            if w is None:
-                # Flip the path: each left vertex takes the right vertex
-                # reached from it and hands its old one to its predecessor.
-                for u in reversed(lefts):
-                    match_right[v] = u
-                    match_left[u], v = v, match_left[u]
-                unvisited = all_right
-                break
-            lefts.append(w)
-            u = w
-    return match_left, match_right
-
-
 def _free_first_matching(rows: tuple, m: int) -> tuple[list, list]:
-    """Some maximum matching of the rows of a graph over m right vertices,
-    found faster than Kuhn's canonical one when it need not be that one.
+    """A maximum matching of the rows of a graph over m right vertices (see
+    MatchabilityGraph), by augmenting paths from each left vertex in
+    ascending order.
 
     A left vertex with a free candidate takes the lowest one at once, at any
-    depth of the search; otherwise the search steps as in
-    ``_maximum_matching``, on the same rows and stack.  No free vertex is
-    ever marked visited, so a failed search leaves only matched vertices
-    marked, whose partners reach no free vertex, and the marks carry over:
-    across a length-1 augmentation, which rematches no marked vertex, and
-    until a longer one, which resets them.  A root that fails has no
-    augmenting path and never gets one later (Kuhn), so the matching is
-    maximum.
+    depth of the search.  Otherwise the depth-first search steps to the
+    lowest candidate still unvisited, m minus the ``bit_length()`` of
+    ``rows[u] & unvisited``, whose bit it reads from a tuple cached per
+    width m, and goes on from that vertex's partner.  The search keeps its
+    own stack, so path length is not bounded by the recursion limit.  No
+    free vertex is ever marked visited, so a failed search leaves only
+    matched vertices marked, whose partners reach no free vertex, and the
+    marks carry over: across a length-1 augmentation, which rematches no
+    marked vertex, and until a longer one, which resets them.  A root that
+    fails has no augmenting path and never gets one later (Kuhn's lemma),
+    so the matching is maximum; with the order fixed, it is deterministic.
     """
     bit = _right_bits(m)
     match_left: list[int | None] = [None] * len(rows)
     match_right: list[int | None] = [None] * m
     all_right = unvisited = free = (1 << m) - 1
     for root in range(len(rows)):
+        # lefts[k + 1] is the partner of the right vertex taken from lefts[k];
+        # u is the last of them.
         lefts = [root]
         u = root
         while True:
@@ -236,6 +193,8 @@ def _free_first_matching(rows: tuple, m: int) -> tuple[list, list]:
             if direct:
                 v = m - direct.bit_length()
                 free ^= bit[v]
+                # Flip the path: each left vertex takes the right vertex
+                # reached from it and hands its old one to its predecessor.
                 for u in reversed(lefts):
                     match_right[v] = u
                     match_left[u], v = v, match_left[u]
@@ -289,11 +248,11 @@ def find_matching(A: GroupSubset, B: GroupSubset):
 
     The two necessary conditions are enforced as structured errors rather
     than certificates: |A| != |B| raises SizeMismatch and an identity in B
-    raises IdentityInB.  Existence is decided by ``_free_first_matching``.
-    A returned Matching is still Kuhn's (``_maximum_matching``: left
-    vertices tried in ascending order, each candidate row scanned
-    ascending), and a returned HallViolator is the same for every maximum
-    matching (Dulmage-Mendelsohn), so output is deterministic.
+    raises IdentityInB.  One search, ``_free_first_matching``, decides
+    existence and builds the result: a returned Matching is its perfect
+    matching, found in a fixed order, and a returned HallViolator is the
+    same for every maximum matching (Dulmage-Mendelsohn), so output is
+    deterministic.
     """
     _same_group(A, B)
     if len(A) == 0 or len(B) == 0:
@@ -309,16 +268,14 @@ def find_matching(A: GroupSubset, B: GroupSubset):
 def _graph_result(group, graph: MatchabilityGraph):
     """A Matching of every left vertex, or a HallViolator in ``group``.
 
-    The free-first search decides which.  The left vertices its maximum
-    matching leaves free reach, by alternating paths, the same Hall
-    violator as from any other maximum matching (the Dulmage-Mendelsohn
-    decomposition), so the violator is read from it; only a perfect
-    matching to hand back needs Kuhn's canonical search.
+    The free-first search decides which.  A perfect matching it finds is
+    the one returned.  Otherwise the left vertices its maximum matching
+    leaves free reach, by alternating paths, the same Hall violator as from
+    any other maximum matching (the Dulmage-Mendelsohn decomposition).
     """
     match_left, match_right = _free_first_matching(graph.rows, len(graph.right))
     if None in match_left:
         return _extract_violator(group, graph, match_left, match_right)
-    match_left, _ = _maximum_matching(graph.rows, len(graph.right))
     return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))
 
 

@@ -25,9 +25,9 @@ import numpy as np
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, _bits,
+from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
                        _block_rows, _brute_force, _extract_violator, _free_first_matching,
-                       _graph_result, _matching_fault, _maximum_matching, _python_rows,
+                       _graph_result, _matching_fault, _python_rows,
                        brute_force_matching, build_graph, find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
@@ -505,17 +505,18 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 
 def _automatching_block(group: GroupTable, block, A, rows) -> list:
     """The failure records of a block of pairs (A, A) (see ``_pair_graphs``),
-    in block order.  Kuhn's search runs per instance, and the block's
-    matchings are checked together for ``_matching_fault``'s reasons, in its
-    order.  The search gives one right element per left one, so the pair
-    count holds and the left elements are A's.  One sort of the block's
-    right elements tests that each φ is onto A; then one flat pass of
-    ``mul(a, φ(a))`` calls, each product looked up in its A's row, tests
-    that the products lie outside A."""
+    in block order.  The free-first search, which ``find_matching`` runs,
+    decides each instance, and the block's matchings are checked together
+    for ``_matching_fault``'s reasons, in its order.  The search gives one
+    right element per left one, so the pair count holds and the left
+    elements are A's.  One sort of the block's right elements tests that
+    each φ is onto A; then one flat pass of ``mul(a, φ(a))`` calls, each
+    product looked up in its A's row, tests that the products lie outside
+    A."""
     n, label = group.n, group.label
     records, matched, images = {}, [], []
     for p, a_rows in enumerate(rows):
-        match_left, match_right = _maximum_matching(a_rows, n)
+        match_left, match_right = _free_first_matching(a_rows, n)
         if None in match_left:
             a_els = block[p][0]
             graph = MatchabilityGraph(left=a_els, right=range(n), rows=a_rows)
@@ -773,8 +774,8 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     are also confirmed against the brute-force bijection oracle.  Trials run
     on element tuples through the cores of ``find_matching``,
     ``verify_matching`` and ``brute_force_matching``, whose input checks the
-    sampler already meets.  The report names no matching, so each trial is
-    decided and checked on the free-first search's matching alone."""
+    sampler already meets; each trial checks the matching or violator that
+    ``find_matching`` would return."""
     report = CheckReport("lattice-matching", seed=seed)
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
@@ -791,18 +792,16 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     mul = group.mul
     for a_els, b_els in _lattice_pairs(d, trials, max_size, coordinate_bound, seed):
         a_set = frozenset(a_els)
-        rows = _python_rows(mul, a_els, a_set, b_els)
-        match_left, match_right = _free_first_matching(rows, len(b_els))
+        graph = MatchabilityGraph(left=a_els, right=b_els,
+                                  rows=_python_rows(mul, a_els, a_set, b_els))
+        result = _graph_result(group, graph)
         report.instances_tested += 1
-        matched = None not in match_left
+        matched = isinstance(result, Matching)
         if not matched:
-            graph = MatchabilityGraph(left=a_els, right=b_els, rows=rows)
-            violator = _extract_violator(group, graph, match_left, match_right)
             report.failures.append({
                 "kind": "lattice-violator", "A": _els(a_els), "B": _els(b_els),
-                "S": _els(violator.subset), "deficiency": violator.deficiency})
-        elif _matching_fault(group, a_set, frozenset(b_els),
-                             tuple(zip(a_els, map(b_els.__getitem__, match_left)))) is not None:
+                "S": _els(result.subset), "deficiency": result.deficiency})
+        elif _matching_fault(group, a_set, frozenset(b_els), result.pairs) is not None:
             report.failures.append({"kind": "invalid-matching", "A": _els(a_els), "B": _els(b_els)})
         if len(a_els) <= LATTICE_CONFIRMATION_CAP:
             brute = _brute_force(mul, a_els, a_set, b_els) is not None
