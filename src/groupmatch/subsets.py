@@ -33,6 +33,13 @@ class GroupSubset:
         self.members = frozenset(elems)
         self.elements = tuple(elems)
 
+    @classmethod
+    def _ascending(cls, group, elements: list) -> GroupSubset:
+        """The subset of ``elements``: distinct, valid and ascending already."""
+        self = object.__new__(cls)
+        self.group, self.members, self.elements = group, frozenset(elements), tuple(elements)
+        return self
+
     def __len__(self):
         return len(self.elements)
 

@@ -230,6 +230,8 @@ def _sample(below, population: range, k: int):
     a pool swapping each pick to its end while the population is at most 21
     long (21 + 4 ** ceil(log4(3k)) when k > 5), else redrawn indices."""
     n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))

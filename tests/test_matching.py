@@ -99,12 +99,14 @@ class TestBuildGraph:
         assert sum(len(r) for r in g.adjacency) == sum(r.bit_count() for r in g.rows)
 
     @pytest.mark.parametrize("group", [make_quaternion(), make_dihedral(32), make_cyclic(64),
-                                       make_cyclic(512)], ids=["q8", "d32", "c64", "c512"])
+                                       make_dihedral(256), make_cyclic(512)],
+                             ids=["q8", "d32", "c64", "d256", "c512"])
     def test_table_rows_equal_python_rows(self, group):
         # find_matching takes the table rows at every size, 1 x 1 included;
-        # the rows built from mul, and the search on them, agree.
+        # the rows built from mul, and the search on them, agree.  63-65 and
+        # 129 rows sit at the edges of the 64-row lookup chunks.
         rng = random.Random(f"rows/{group.name}")
-        for k in (1, 2, group.n // 2, group.n - 1, 12, 13):
+        for k in (1, 2, group.n // 2, group.n - 1, 12, 13, 63, 64, 65, 129):
             if k >= group.n:
                 continue
             for _ in range(3):
@@ -232,7 +234,7 @@ def _seeded_pairs(group, sizes, rng):
 
 class TestEngineAtScale:
     @pytest.mark.parametrize("group", [make_dihedral(32), make_cyclic(64)], ids=["d32", "c64"])
-    def test_find_matching_returns_kuhns_matching(self, group):
+    def test_find_matching_returns_free_first_matching(self, group):
         # The Matching handed back is that of Kuhn's augmenting paths in the
         # free-first order, as the recursive reference finds it.
         rng = random.Random(f"kuhn/{group.name}")
@@ -246,6 +248,23 @@ class TestEngineAtScale:
                 assert verify_matching(A, B, result)
                 perfect += 1
         assert perfect >= 8
+
+    @pytest.mark.parametrize("group", [make_dihedral(32), make_cyclic(64)], ids=["d32", "c64"])
+    def test_violators_equal_checked_subsets(self, group):
+        # Violators skip GroupSubset's element checks; on pairs built to
+        # fail, each side equals, and hashes as, the checked subset of its
+        # elements, which it holds ascending.
+        rng = random.Random(f"violators/{group.name}")
+        violators = 0
+        for A, B in _seeded_pairs(group, [40, 48, 56, 60, 62] * 4, rng):
+            result = find_matching(A, B)
+            if isinstance(result, HallViolator):
+                for side in (result.subset, result.neighborhood):
+                    checked = GroupSubset(group, side.elements)
+                    assert side == checked and hash(side) == hash(checked)
+                    assert side.elements == checked.elements
+                violators += 1
+        assert violators >= 8
 
     def test_no_recursion_limit(self):
         c1280 = make_cyclic(1280)
@@ -539,7 +558,7 @@ def _assert_agrees(A, B, result, expected):
         assert result == expected
 
 
-class TestLsbKuhnEquivalence:
+class TestLsbRowEquivalence:
     """The engine against Kuhn's search on least-significant-bit-first rows."""
 
     # SHA-256 of every find_matching result below, in order.  Re-pinned once

@@ -194,6 +194,19 @@ class TestWordReaderSamplers:
                                      tuple(sorted(rng.sample(range(1, n), k)))))
                 assert list(_sized_pairs(n, max_k, 25, seed)) == expected, (max_k, seed)
 
+    @pytest.mark.parametrize("n, k", [(10, 11), (39, 41), (10, -1)])
+    def test_sample_outside_population_raises_before_drawing(self, n, k):
+        # As random.sample does.  Unchecked, the pool would ask below(0) for
+        # its last swap, and that redraw loop never ends.
+        def below(m):
+            raise AssertionError(f"drew below({m})")
+
+        with pytest.raises(ValueError) as expected:
+            random.Random(0).sample(range(n), k)
+        with pytest.raises(ValueError) as raised:
+            theorems._sample(below, range(n), k)
+        assert str(raised.value) == str(expected.value)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_lattice_pairs_equal_per_draw_loop(self, d):
         for bound in (1, 2, 10, 2 ** 40):
@@ -823,6 +836,17 @@ class TestLatticeMatching:
         assert main(["lattice", "--max-size", max_size]) == 2
         out = capsys.readouterr().out
         assert "max_size" in out and "randrange" not in out
+
+    def test_input_check_boundaries(self):
+        # max_size = 1 and coordinate_bound = 0 are the least values their
+        # own checks admit; a bound of 0 leaves one point, too few for 8.
+        assert check_lattice_matching(1, 10, max_size=1).status == "pass"
+        with pytest.raises(ValueError, match="max_size must be at least 1"):
+            check_lattice_matching(1, 10, max_size=0)
+        with pytest.raises(ValueError, match="coordinate_bound must be at least 0"):
+            check_lattice_matching(1, 10, coordinate_bound=-1)
+        with pytest.raises(ValueError, match="coordinate_bound too small"):
+            check_lattice_matching(1, 10, coordinate_bound=0)
 
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
