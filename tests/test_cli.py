@@ -324,6 +324,79 @@ class TestVerifyCommand:
         assert [c["status"] for c in doc["checks"]] == ["pass", "skipped"]
 
 
+class TestPinnedOutput:
+    """Text stdouts and error envelopes, pinned so that a change to how the
+    CLI picks its output format shows in either format."""
+
+    TIMING = re.compile(r"\[\d+\.\d\ds\]$", re.MULTILINE)
+
+    # Recorded while each command printed its own text.  render_check's
+    # wall-clock "[x.xxs]" is masked before hashing.
+    TEXT_RUNS = [
+        (("match", "C5", "{1,2,3,4}", "{1,2,3,4}"), 0),
+        (("match", "C4", "{0,2}", "{1,2}"), 1),
+        (("match", "Z^2", "{(0,0),(1,1)}", "{(1,0),(0,1)}"), 0),
+        (("verify", "C6", "--checks", "all", "--seed", "7"), 0),
+        (("verify", "C4", "--checks", "matching-property"), 0),
+        (("verify", "C1", "--checks", "hall"), 2),
+        (("counterexample", "Q8"), 0),
+        (("lattice", "-d", "2", "-t", "40", "--seed", "3"), 0),
+    ]
+    TEXT_DIGEST = "fbb04a863657dd784de036fdb0075bc89751f08483d4c7d156760721016228b2"
+
+    def test_text_output_digest_is_pinned(self, capsys):
+        h = hashlib.sha256()
+        for argv, expected_code in self.TEXT_RUNS:
+            code, out = run(capsys, *argv)
+            assert code == expected_code, argv
+            h.update(self.TIMING.sub("[x.xxs]", out).encode())
+        assert h.hexdigest() == self.TEXT_DIGEST
+
+    @pytest.mark.parametrize("argv,exit_code,error_type,message", [
+        (("match", "C4", "{0,2", "{1,2}"), 2, "ParseError",
+         "unexpected end of input (column 5)"),
+        (("match", "C4", "{0,2}", "{1}"), 2, "SizeMismatch", "|A| = 2 but |B| = 1"),
+        (("match", "C4", "{0,2}", "{0,2}"), 2, "IdentityInB",
+         "B contains the identity, so no matching can exist"),
+        (("verify", "C7", "--checks", "corollary"), 2, "SizeLimit",
+         "check corollary: containment-bound sweep: size 7 exceeds cap 6"),
+        (("counterexample", "C5"), 3, "NotApplicable",
+         "C5 is trivial or of prime order; every pair matches"),
+        (("verify", "C4", "--checks", "kemperman", "--jobs", "2"), 2, "ValueError",
+         "--jobs must be 1, got 2: the process pool was removed and every check runs "
+         "in one process"),
+        (("verify", "C4", "--checks", ","), 2, "ValueError", "--checks names no check: ','"),
+        (("lattice", "-t", "-5"), 2, "ValueError", "trials must be at least 0, got -5"),
+    ], ids=["parse", "size-mismatch", "identity-in-b", "size-limit", "not-applicable",
+            "jobs", "empty-checks", "negative-trials"])
+    def test_error_output_is_pinned(self, capsys, argv, exit_code, error_type, message):
+        code, out = run(capsys, *argv)
+        assert (code, out) == (exit_code, f"error: {message}\n")
+        code, out = run(capsys, *argv, "--format", "machine")
+        envelope = ('{\n  "command": "%s",\n  "error": {\n    "message": %s,\n'
+                    '    "type": "%s"\n  },\n  "schema": "groupmatch/2"\n}\n'
+                    % (argv[0], json.dumps(message), error_type))
+        assert (code, out) == (exit_code, envelope)
+
+    def test_zero_trial_lattice_run_is_pinned(self, capsys):
+        code, out = run(capsys, "lattice", "-t", "0")
+        assert code == 2
+        assert self.TIMING.sub("[x.xxs]", out) == (
+            "lattice Z^1\n"
+            "check lattice-matching: SKIPPED  (0 instances, 0 skipped, seed 0)  [x.xxs]\n"
+            '  flagged: {"count": 0, "kind": "brute-force-confirmations"}\n')
+        code, out = run(capsys, "lattice", "-t", "0", "--format", "machine")
+        assert code == 2
+        report = {"check": "lattice-matching", "failures": [],
+                  "flagged": [{"count": 0, "kind": "brute-force-confirmations"}],
+                  "instances_skipped": 0, "instances_tested": 0, "seed": 0,
+                  "status": "skipped"}
+        assert out == json.dumps(
+            {"command": "lattice", "coordinate_bound": 10, "dimension": 1, "max_size": 8,
+             "report": report, "schema": "groupmatch/2", "seed": 0, "trials": 0},
+            sort_keys=True, indent=2) + "\n"
+
+
 class TestParserReuse:
     """main builds its parser once per process; a call must not see what an
     earlier call parsed.  Each call is compared with one made on a freshly
