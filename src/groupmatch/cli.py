@@ -3,6 +3,13 @@
 Exit codes: 0 success / all checks pass; 1 certified non-existence or a
 failed check; 2 input or size-limit errors; 3 counterexample construction
 not applicable (trivial or prime-order group).
+
+Each ``_cmd_*`` handler returns ``(exit code, document, text)``: the machine
+document without its ``schema`` and ``command`` keys, and a zero-argument
+callable that renders the text lines.  ``main`` alone picks the format: it
+adds the two envelope keys and prints ``machine_json`` of the document, or
+calls ``text`` and prints its lines.  An input error becomes the same
+triple, with an ``error`` document.
 """
 
 from __future__ import annotations
@@ -114,42 +121,28 @@ def _group_doc(group) -> dict:
     return {"group": group.name or f"order-{group.n}", "order": group.n}
 
 
-def _emit_error(exc: Exception, command: str, machine: bool) -> None:
-    if machine:
-        doc = {"schema": MACHINE_SCHEMA, "command": command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(machine_json(doc), end="")
-    else:
-        print(f"error: {exc}")
-
-
 def _exit_code(status: str) -> int:
     """The exit code of a report status; "skipped" means nothing was tested."""
     return {"pass": 0, "fail": 1, "skipped": 2}[status]
 
 
-def _cmd_match(args) -> int:
+def _cmd_match(args):
     group = _resolve_group(args.group)
     A = parse_subset_literal(args.A, group)
     B = parse_subset_literal(args.B, group)
     result = find_matching(A, B)
     matched = isinstance(result, Matching)
-    if args.format == "machine":
-        doc = {"schema": MACHINE_SCHEMA, "command": "match", **_group_doc(group),
-               "A": elements_json(A), "B": elements_json(B),
-               "result": "matching" if matched else "violator"}
-        if matched:
-            doc["matching"] = [[element_json(a), element_json(b)] for a, b in result.pairs]
-        else:
-            doc["violator"] = violator_json(result)
-        print(machine_json(doc), end="")
+    doc = {**_group_doc(group), "A": elements_json(A), "B": elements_json(B),
+           "result": "matching" if matched else "violator"}
+    if matched:
+        doc["matching"] = [[element_json(a), element_json(b)] for a, b in result.pairs]
     else:
-        print(f"group: {group.describe()}")
-        print(f"A = {format_elements(group, A.elements)}")
-        print(f"B = {format_elements(group, B.elements)}")
-        lines = render_matching(group, result) if matched else render_violator(group, result)
-        print("\n".join(lines))
-    return 0 if matched else 1
+        doc["violator"] = violator_json(result)
+    return (0 if matched else 1), doc, lambda: [
+        f"group: {group.describe()}",
+        f"A = {format_elements(group, A.elements)}",
+        f"B = {format_elements(group, B.elements)}",
+        *(render_matching(group, result) if matched else render_violator(group, result))]
 
 
 def _run_check(name: str, group: GroupTable, seed: int, cap: int | None):
@@ -161,7 +154,7 @@ def _run_check(name: str, group: GroupTable, seed: int, cap: int | None):
     return globals()[function](group, **kwargs)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.jobs != 1:
         raise ValueError(f"--jobs must be 1, got {args.jobs}: the process pool was removed "
                          "and every check runs in one process")
@@ -193,54 +186,38 @@ def _cmd_verify(args) -> int:
     # A run in which every check tested nothing is a zero-instance run: skipped.
     statuses = {r.status for r in reports}
     status = "fail" if "fail" in statuses else "pass" if "pass" in statuses else "skipped"
-    if args.format == "machine":
-        doc = {"schema": MACHINE_SCHEMA, "command": "verify", **_group_doc(group),
-               "seed": args.seed, "checks": [r.to_dict() for r in reports],
-               "status": status}
-        print(machine_json(doc), end="")
-    else:
-        print(f"group: {group.describe()} (order {group.n})")
-        for r in reports:
-            print("\n".join(render_check(r)))
-        print(f"overall: {status.upper()}")
-    return _exit_code(status)
+    doc = {**_group_doc(group), "seed": args.seed, "checks": [r.to_dict() for r in reports],
+           "status": status}
+    return _exit_code(status), doc, lambda: [
+        f"group: {group.describe()} (order {group.n})",
+        *(line for r in reports for line in render_check(r)),
+        f"overall: {status.upper()}"]
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args):
     group = _resolve_group(args.group)
     if not isinstance(group, GroupTable):
         raise ValueError("counterexamples are constructed for finite groups only")
     pair = construct_counterexample(group)
-    if args.format == "machine":
-        doc = {"schema": MACHINE_SCHEMA, "command": "counterexample", **_group_doc(group),
-               "A": elements_json(pair.left), "B": elements_json(pair.right),
-               "generator": element_json(pair.generator), "outsider": element_json(pair.outsider),
-               "violator": violator_json(pair.violator)}
-        print(machine_json(doc), end="")
-    else:
-        print(f"group: {group.describe()} (order {group.n})")
-        print(f"generator a = {group.label(pair.generator)}")
-        print(f"A = <a> = {format_elements(group, pair.left.elements)}")
-        print(f"outsider g = {group.label(pair.outsider)}")
-        print(f"B = A u {{g}} \\ {{1}} = {format_elements(group, pair.right.elements)}")
-        print("\n".join(render_violator(group, pair.violator)))
-    return 0
+    doc = {**_group_doc(group), "A": elements_json(pair.left), "B": elements_json(pair.right),
+           "generator": element_json(pair.generator), "outsider": element_json(pair.outsider),
+           "violator": violator_json(pair.violator)}
+    return 0, doc, lambda: [
+        f"group: {group.describe()} (order {group.n})",
+        f"generator a = {group.label(pair.generator)}",
+        f"A = <a> = {format_elements(group, pair.left.elements)}",
+        f"outsider g = {group.label(pair.outsider)}",
+        f"B = A u {{g}} \\ {{1}} = {format_elements(group, pair.right.elements)}",
+        *render_violator(group, pair.violator)]
 
 
-def _cmd_lattice(args) -> int:
-    report = check_lattice_matching(args.dimension, args.trials,
-                                    max_size=args.max_size,
+def _cmd_lattice(args):
+    report = check_lattice_matching(args.dimension, args.trials, max_size=args.max_size,
                                     coordinate_bound=args.bound, seed=args.seed)
-    if args.format == "machine":
-        doc = {"schema": MACHINE_SCHEMA, "command": "lattice",
-               "dimension": args.dimension, "trials": args.trials,
-               "max_size": args.max_size, "coordinate_bound": args.bound,
-               "seed": args.seed, "report": report.to_dict()}
-        print(machine_json(doc), end="")
-    else:
-        print(f"lattice Z^{args.dimension}")
-        print("\n".join(render_check(report)))
-    return _exit_code(report.status)
+    doc = {"dimension": args.dimension, "trials": args.trials, "max_size": args.max_size,
+           "coordinate_bound": args.bound, "seed": args.seed, "report": report.to_dict()}
+    return _exit_code(report.status), doc, lambda: [
+        f"lattice Z^{args.dimension}", *render_check(report)]
 
 
 _HANDLERS = {
@@ -252,17 +229,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    machine = getattr(args, "format", "text") == "machine"
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except NotApplicable as exc:
-        _emit_error(exc, args.command, machine)
-        return 3
+        code, doc, text = _HANDLERS[args.command](args)
     except (GroupMatchError, ValueError) as exc:
-        _emit_error(exc, args.command, machine)
-        return 2
+        code = 3 if isinstance(exc, NotApplicable) else 2
+        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        message = f"error: {exc}"
+        text = lambda: [message]
+    if args.format == "machine":
+        print(machine_json({"schema": MACHINE_SCHEMA, "command": args.command, **doc}), end="")
+    else:
+        print("\n".join(text()))
+    return code
 
 
 def entry() -> None:
