@@ -393,6 +393,27 @@ class TestOlson:
                 check_olson(A, B, subgroup_cap=5)
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("spec", ["C6", "D5"])
+    def test_sweep_blocks_carry_their_product_sets(self, spec, monkeypatch):
+        # The sweep's report holds only counts and failures, and H = G is a
+        # witness whenever AB = G: a product set read too large passes as
+        # well as the true one, so the spy compares each block's AB.
+        g = parse_group_spec(spec)
+        blocks, olson_block = [], theorems._olson_block
+
+        def spy(table, A, B, ab):
+            blocks.append((A, B, ab))
+            return olson_block(table, A, B, ab)
+
+        monkeypatch.setattr(theorems, "_olson_block", spy)
+        r = sweep_olson(g)
+        assert r.status == "pass" and r.instances_tested == sum(A.shape[1] for A, _, _ in blocks)
+        for A, B, ab in blocks:
+            for p in range(A.shape[1]):
+                expected = product_set(subset(g, np.flatnonzero(A[:, p]).tolist()),
+                                       subset(g, np.flatnonzero(B[:, p]).tolist()))
+                assert set(np.flatnonzero(ab[:, p]).tolist()) == expected.members
+
     def test_sweep_exhaustive_c6(self):
         r = sweep_olson(make_cyclic(6))
         assert r.status == "pass" and r.instances_tested == 63 * 63
@@ -630,6 +651,24 @@ class TestMatchingProperty:
         assert out["pairs_failed"] == 0 and out["counterexample"] is None
         assert out["mode"] == "sampled" and out["property_holds"] is None
         assert r.status == "pass" and r.instances_tested == 300
+
+    def test_sampled_mode_hands_its_draws_to_the_kernel(self, monkeypatch):
+        # At a prime order no pair fails, so pairs_failed and the
+        # counterexample read the same whichever pairs were drawn: only the
+        # pairs themselves show |A| = |B| <= n - 1 and B free of the identity.
+        seen = []
+
+        def spy(group, instances):
+            seen.extend(instances)
+            return _failing_pairs(group, seen)
+
+        monkeypatch.setattr(theorems, "_failing_pairs", spy)
+        r = check_matching_property(make_cyclic(11), seed=0)
+        assert r.flagged[-1]["mode"] == "sampled" and r.instances_tested == len(seen) == 2000
+        assert all(len(a_els) == len(b_els) for a_els, b_els in seen)
+        assert max(len(a_els) for a_els, _ in seen) == 11 - 1
+        assert all(0 not in b_els for _, b_els in seen)
+        assert seen == list(_sized_pairs(11, 10, 2000, 0))
 
     def test_c5_holds_and_agrees(self):
         r = check_matching_property(make_cyclic(5))
@@ -957,6 +996,23 @@ class TestHallCrossValidation:
     def test_singleton(self):
         c4 = make_cyclic(4)
         assert cross_validate_hall(subset(c4, [3]), subset(c4, [3])) is True
+
+    @pytest.mark.parametrize("spec", ["Z^1", "Z^2"])
+    def test_lattice_pairs_match_on_every_route(self, spec):
+        # Z^d is torsion-free, so every pair with 0 outside B is matchable.
+        # The engine runs on the lattice's own graph rows, with no table.
+        g = parse_group_spec(spec)
+        rng = random.Random(3)
+        points = list(itertools.product(range(-3, 4), repeat=g.d))
+        nonzero = [p for p in points if p != g.identity]
+        for k in range(1, HALL_MAX_SIZE + 1):
+            for _ in range(4):
+                A = subset(g, rng.sample(points, k))
+                B = subset(g, rng.sample(nonzero, k))
+                assert cross_validate_hall(A, B) is True
+                matching = find_matching(A, B)
+                assert isinstance(matching, Matching) and verify_matching(A, B, matching)
+                assert brute_force_matching(A, B) is not None
 
     def test_preconditions(self):
         c10 = make_cyclic(10)
