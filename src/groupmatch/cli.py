@@ -8,8 +8,9 @@ Each ``_cmd_*`` handler returns ``(exit code, document, text)``: the machine
 document without its ``schema`` and ``command`` keys, and a zero-argument
 callable that renders the text lines.  ``main`` alone picks the format: it
 adds the two envelope keys and prints ``machine_json`` of the document, or
-calls ``text`` and prints its lines.  An input error becomes the same
-triple, with an ``error`` document.
+calls ``text`` and prints its lines.  A ``GroupMatchError`` or ``ValueError``
+becomes the same triple, with an ``error`` document: exit 3 for
+``NotApplicable``, else 2.
 """
 
 from __future__ import annotations
