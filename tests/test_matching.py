@@ -273,6 +273,24 @@ class TestEngineAtScale:
         r = find_matching(A, B)
         assert isinstance(r, HallViolator) or verify_matching(A, B, r)
 
+    # SHA-256 of every find_matching result of test_large_results_are_pinned.
+    LARGE_DIGEST = "6b542673dc5732fd65dfb51b48a192374904a19ea0832ea37d38a19cfea172ee"
+
+    def test_large_results_are_pinned(self):
+        # Seeded pairs at order 512 from half the group to all but one
+        # element; 409 and 410 lie on either side of 4n/5.  Each size above
+        # 256 also gives a pair built so that the index-2 subgroup violates
+        # Hall's condition.
+        digest, kinds = hashlib.sha256(), set()
+        for group in (make_dihedral(256), make_cyclic(512)):
+            rng = random.Random(f"pinned/{group.name}")
+            for A, B in _seeded_pairs(group, [256, 409, 410, 486, 511], rng):
+                result = find_matching(A, B)
+                digest.update(_result_key(result))
+                kinds.add(type(result))
+        assert kinds == {Matching, HallViolator}
+        assert digest.hexdigest() == self.LARGE_DIGEST
+
     @pytest.mark.parametrize("group", [make_dihedral(128), make_cyclic(256)], ids=["d128", "c256"])
     def test_agrees_with_networkx(self, group):
         nx = pytest.importorskip("networkx")
