@@ -10,13 +10,16 @@ callable that renders the text lines.  ``main`` alone picks the format: it
 adds the two envelope keys and prints ``machine_json`` of the document, or
 calls ``text`` and prints its lines.  A ``GroupMatchError`` or ``ValueError``
 becomes the same triple, with an ``error`` document: exit 3 for
-``NotApplicable``, else 2.
+``NotApplicable``, else 2.  So does a command line that argparse rejects,
+as a ``UsageError``, when argv asks for ``--format machine``; otherwise
+argparse's usage and message go to stderr, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import sys
 from pathlib import Path
 
 from .errors import GroupMatchError, NotApplicable, ParseError, SizeLimit
@@ -58,9 +61,23 @@ CHECKS = {
 CAPPED_CHECKS = tuple(name for name, (_, cap_keyword, _) in CHECKS.items() if cap_keyword)
 
 
+class UsageError(Exception):
+    """A command line that ``parser`` rejected, with argparse's message."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    # Subparsers take the class of their parent, so every parse error raises.
+    def error(self, message):
+        raise UsageError(self, message)
+
+
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupmatch",
         description="Matchings between finite subsets of groups, with theorem checks.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,17 +246,35 @@ _HANDLERS = {
 }
 
 
+def _failure(exc: Exception):
+    """The (exit code, document, text) of an error."""
+    message = f"error: {exc}"
+    return ((3 if isinstance(exc, NotApplicable) else 2),
+            {"error": {"type": type(exc).__name__, "message": str(exc)}}, lambda: [message])
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        code, doc, text = _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        command, machine = args.command, args.format == "machine"
+        code, doc, text = _HANDLERS[command](args)
+    except UsageError as exc:
+        # The parse failed, so the format and the command are read from argv;
+        # the top-level parser has no option but -h, so the first word that
+        # is not an option is where the command goes.
+        machine = "--format=machine" in argv or ("--format", "machine") in zip(argv, argv[1:])
+        if not machine:
+            exc.parser.print_usage(sys.stderr)
+            print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+            return 2
+        command = next((word for word in argv if not word.startswith("-")), None)
+        command = command if command in _HANDLERS else None
+        code, doc, text = _failure(exc)
     except (GroupMatchError, ValueError) as exc:
-        code = 3 if isinstance(exc, NotApplicable) else 2
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        message = f"error: {exc}"
-        text = lambda: [message]
-    if args.format == "machine":
-        print(machine_json({"schema": MACHINE_SCHEMA, "command": args.command, **doc}), end="")
+        code, doc, text = _failure(exc)
+    if machine:
+        print(machine_json({"schema": MACHINE_SCHEMA, "command": command, **doc}), end="")
     else:
         print("\n".join(text()))
     return code

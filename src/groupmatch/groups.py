@@ -27,11 +27,12 @@ class GroupTable:
 
     ``array[a, b]`` is the product a*b as an element index, in a read-only
     numpy array of the smallest unsigned dtype that holds n - 1; it is the
-    group's one table, and ``table`` is the same array object.  ``names`` is
-    an optional tuple of display strings, one per element.
+    group's one table, and ``table`` is the same array object.
+    ``inverses[a]`` is the inverse of a, read-only.  ``names`` is an
+    optional tuple of display strings, one per element.
     """
 
-    __slots__ = ("n", "array", "names", "name", "_cells")
+    __slots__ = ("n", "array", "inverses", "names", "name", "_cells")
 
     def __init__(self, table, names=None, name: str | None = None):
         arr = _as_index_array(table)
@@ -39,6 +40,9 @@ class GroupTable:
         self.n = arr.shape[0]
         self.array = arr
         arr.setflags(write=False)
+        # Each row is a permutation, so its least entry is the identity 0.
+        self.inverses = arr.argmin(axis=1)
+        self.inverses.setflags(write=False)
         self._cells = memoryview(arr)   # mul reads Python ints from it
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -57,7 +61,7 @@ class GroupTable:
         return self._cells[a, b]
 
     def inverse(self, a: int) -> int:
-        return int(np.flatnonzero(self.array[a] == 0)[0])
+        return int(self.inverses[a])
 
     def elements(self) -> range:
         return range(self.n)

@@ -190,10 +190,10 @@ def _pair_blocks(n: int, exhaustive_cap: int, samples: int, seed: int) -> tuple:
 def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``count[c, p] = #{(a, b) in A_p x B_p : a*b = c}`` for boolean (n, P)
     matrices A and B whose column p is the pair p.  One vector step per a
-    set in some column of A: row a of the argsort of the table maps c to
-    a⁻¹c, the b with a*b = c."""
+    set in some column of A: row a⁻¹ of the table maps c to a⁻¹c, the b
+    with a*b = c."""
     left = np.flatnonzero(A.any(axis=1))
-    divide = np.argsort(group.array[left], axis=1)
+    divide = group.array[group.inverses[left]]
     count = np.zeros(A.shape, np.min_scalar_type(group.n))    # no count exceeds n
     for a, row in zip(left, divide):
         count += A[a] & B[row]

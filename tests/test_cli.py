@@ -378,6 +378,39 @@ class TestPinnedOutput:
                     % (argv[0], json.dumps(message), error_type))
         assert (code, out) == (exit_code, envelope)
 
+    @pytest.mark.parametrize("argv,command,message", [
+        (("lattice", "--trials", "many", "--format", "machine"), "lattice",
+         "argument -t/--trials: invalid int value: 'many'"),
+        (("match", "C4", "{1}", "--format=machine"), "match",
+         "the following arguments are required: B"),
+        (("--format=machine",), None, "the following arguments are required: command"),
+    ], ids=["bad-value", "missing-argument", "no-command"])
+    def test_usage_error_envelope_is_pinned(self, capsys, argv, command, message):
+        code = main(list(argv))
+        out = capsys.readouterr()
+        envelope = ('{\n  "command": %s,\n  "error": {\n    "message": %s,\n'
+                    '    "type": "UsageError"\n  },\n  "schema": "groupmatch/2"\n}\n'
+                    % (json.dumps(command), json.dumps(message)))
+        assert (code, out.out, out.err) == (2, envelope, "")
+
+    def test_usage_error_names_no_unknown_command(self, capsys):
+        # argparse's wording of an invalid choice differs between Python
+        # versions, so only its start is pinned.
+        assert main(["matc", "C4", "--format", "machine"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["command"], doc["error"]["type"]) == (None, "UsageError")
+        assert doc["error"]["message"].startswith("argument command: invalid choice: 'matc'")
+
+    def test_usage_error_text_goes_to_stderr(self, capsys):
+        # argparse's usage and message, as argparse itself prints them; the
+        # usage line's wrapping follows the terminal width.
+        code = main(["lattice", "--trials", "many"])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err.startswith("usage: groupmatch lattice [-h]")
+        assert out.err.endswith(
+            "\ngroupmatch lattice: error: argument -t/--trials: invalid int value: 'many'\n")
+
     def test_zero_trial_lattice_run_is_pinned(self, capsys):
         code, out = run(capsys, "lattice", "-t", "0")
         assert code == 2

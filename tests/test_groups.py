@@ -132,6 +132,19 @@ class TestTableValidation:
             assert (again.names, again.name) == (g.names, spec)
             assert [again.mul(a, 3) for a in range(g.n)] == [g.mul(a, 3) for a in range(g.n)]
 
+    @pytest.mark.parametrize("group", [*catalog(), make_dihedral(256)], ids=lambda g: g.name)
+    def test_inverses_are_read_only_and_survive_pickling(self, group):
+        elements = list(group.elements())
+        assert (group.array[elements, group.inverses] == 0).all()
+        assert [group.inverse(a) for a in elements] == group.inverses.tolist()
+        assert type(group.inverse(group.n - 1)) is int
+        again = pickle.loads(pickle.dumps(group))
+        assert again.inverses.tolist() == group.inverses.tolist()
+        for g in (group, again):
+            assert not g.inverses.flags.writeable
+            with pytest.raises(ValueError):
+                g.inverses[0] = 1
+
     def test_equal_tables_hash_equal(self):
         c6 = make_cyclic(6)
         for same in (loads_group(dumps_group(c6)), GroupTable(c6.array.tolist(), name="other")):

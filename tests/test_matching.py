@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,9 +105,11 @@ class TestBuildGraph:
     def test_table_rows_equal_python_rows(self, group):
         # find_matching takes the table rows at every size, 1 x 1 included;
         # the rows built from mul, and the search on them, agree.  63-65 and
-        # 129 rows sit at the edges of the 64-row lookup chunks.
+        # 129 rows sit at the edges of the 64-row lookup chunks, and
+        # ceil(4n/5) is the first size built through the complement of A.
         rng = random.Random(f"rows/{group.name}")
-        for k in (1, 2, group.n // 2, group.n - 1, 12, 13, 63, 64, 65, 129):
+        switch = -(-4 * group.n // 5)
+        for k in (1, 2, group.n // 2, group.n - 1, 12, 13, 63, 64, 65, 129, switch - 1, switch):
             if k >= group.n:
                 continue
             for _ in range(3):
@@ -116,6 +119,39 @@ class TestBuildGraph:
                 assert matching._table_rows(A, B) == rows
                 assert find_matching(A, B) == _graph_result(
                     group, MatchabilityGraph(left=A.elements, right=B.elements, rows=rows))
+
+    @pytest.mark.parametrize("group", [make_cyclic(12), make_dihedral(32)], ids=["c12", "d32"])
+    def test_pairs_find_matching_rejects_equal_python_rows(self, group):
+        # build_graph accepts A = G, whose complement is empty so that every
+        # row is 0, B holding the identity, and |A| != |B|, at sizes on both
+        # sides of the switch to the complement of A.
+        n, rng = group.n, random.Random(f"domain/{group.name}")
+        cases = [(range(n), rng.sample(range(n), n // 2)), (range(n), range(n))]
+        for k in (n // 2, n - 2):
+            cases += [(rng.sample(range(n), k), [0, *rng.sample(range(1, n), k - 1)]),
+                      (rng.sample(range(n), k), rng.sample(range(1, n), 1)),
+                      (rng.sample(range(n), k), range(n))]
+        for a_els, b_els in cases:
+            A, B = GroupSubset(group, a_els), GroupSubset(group, b_els)
+            rows = build_graph(A, B).rows
+            assert rows == matching._python_rows(group.mul, A.elements, A.members, B.elements)
+            if len(A) == n:
+                assert rows == (0,) * n
+
+    def test_rows_through_the_complement_allocate_no_product_block(self):
+        # At |A| = 1000 of 1024 the rows come from the 24 quotients a⁻¹y per
+        # row: the peak is the k x (m + 1) bool block, where gathering every
+        # product a*b would take 2 bytes each and the lookup 1 more (4.1x).
+        group, rng = make_cyclic(1024), random.Random("complement-peak")
+        A = GroupSubset(group, rng.sample(range(1024), 1000))
+        B = GroupSubset(group, rng.sample(range(1, 1024), 1000))
+        tracemalloc.start()
+        try:
+            matching._table_rows(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 1000 * 1000, peak
 
     def test_empty_rejected(self):
         c4 = make_cyclic(4)
