@@ -254,12 +254,16 @@ class TestVerifyCommand:
 
     # Recorded while both samplers still drew per call from random.Random:
     # C23's Hall draws reach random.sample's set branch (a population above
-    # 21), and Z^3 draws three randint coordinates per point.
+    # 21), and Z^3 draws three randint coordinates per point.  The bound
+    # 5 * 10**9 makes each Z^1 coordinate a 34-bit draw, wider than one
+    # 32-bit Mersenne Twister word.
     @pytest.mark.parametrize("argv,digest", [
         (("lattice", "-d", "3", "-t", "300", "--seed", "7"),
          "0c24f24a147050f5f87b8732976e5dbb7e61630453bb867ed35aa445b854bf15"),
         (("verify", "C23", "--checks", "hall,matching-property", "--seed", "7"),
          "ad120007e0ce8cfeda58830a59b908c3d66e598f404a9163e560a57b26e6bcdf"),
+        (("lattice", "-d", "1", "-t", "200", "--bound", "5000000000", "--seed", "7"),
+         "d15d03352a7c824bfc8bf2f83acdf99bf066e45dc8507897841d65bac216d570"),
     ])
     def test_seeded_sampler_digest_is_pinned(self, capsys, argv, digest):
         code, out = run(capsys, *argv, "--format", "machine")
