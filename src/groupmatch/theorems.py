@@ -43,7 +43,6 @@ DEFAULT_SAMPLES = 2000
 DEFAULT_HALL_SAMPLES = 500
 DEFAULT_LATTICE_SIZE_CAP = 10
 PAIR_BLOCK = 1024               # pairs per array block of the product-set sweeps
-_WORD_CHUNK = 1024              # 32-bit words per getrandbits call of _below_reader
 
 
 @dataclass
@@ -200,33 +199,8 @@ def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return count
 
 
-def _below_reader(rng: random.Random):
-    """m -> ``rng._randbelow(m)``, from rng's 32-bit Mersenne Twister words
-    read ``_WORD_CHUNK`` per getrandbits call, the first least significant.
-    _randbelow(m) redraws getrandbits(m.bit_length()) while it is at least m;
-    getrandbits(k) is the top k bits of a word for k <= 32, and above it
-    ceil(k / 32) words, least significant first, the last shifted right to
-    the bits left.  The reader runs ahead of its draws, so rng must be
-    private to it."""
-    # iter(f, None) calls f without end: a chunk is a list, never None.
-    chunks = iter(lambda: np.frombuffer(rng.getrandbits(32 * _WORD_CHUNK).to_bytes(
-        4 * _WORD_CHUNK, "little"), "<u4").tolist(), None)
-    word = itertools.chain.from_iterable(chunks).__next__
-
-    def below(m: int) -> int:
-        k = m.bit_length()
-        while True:
-            if k <= 32:
-                r = word() >> (32 - k)
-            else:
-                r = sum(word() >> max(0, i + 32 - k) << i for i in range(0, k, 32))
-            if r < m:
-                return r
-    return below
-
-
 def _sample(below, population: range, k: int):
-    """The members of ``rng.sample(population, k)``, ``below`` reading rng:
+    """The members of ``rng.sample(population, k)`` for ``below = rng._randbelow``:
     a pool swapping each pick to its end while the population is at most 21
     long (21 + 4 ** ceil(log4(3k)) when k > 5), else redrawn indices."""
     n = len(population)
@@ -251,7 +225,7 @@ def _sized_pairs(n: int, max_k: int, samples: int, seed: int):
     """Seeded (a_els, b_els) pairs, |A| = |B| <= max_k, the identity out of B:
     ``k = randint(1, max_k)``, then ``sample(range(n), k)`` and
     ``sample(range(1, n), k)``, sorted, from ``random.Random(seed)``."""
-    below = _below_reader(random.Random(seed))
+    below = random.Random(seed)._randbelow
     for _ in range(samples):
         k = 1 + below(max_k)
         yield (tuple(sorted(_sample(below, range(n), k))),
@@ -754,7 +728,7 @@ def _lattice_pairs(d: int, trials: int, max_size: int, bound: int, seed: int):
     """Seeded (a_els, b_els) pairs of ascending Z^d points, |A| = |B| <=
     max_size, zero out of B: ``k = randint(1, max_size)``, then points of d
     ``randint(-bound, bound)`` until A, then B, has k, from ``Random(seed)``."""
-    below = _below_reader(random.Random(seed))
+    below = random.Random(seed)._randbelow
     width = 2 * bound + 1
     for _ in range(trials):
         k = 1 + below(max_size)
@@ -868,17 +842,24 @@ def _hall_block(mul, block, rows, m: int) -> list:
     (None, why the routes disagree).  The free-first search, which decides
     ``find_matching``, and the brute-force oracle run per pair, the oracle
     first.  Then one flat pass of ``mul`` over the block makes each pair's
-    products in the order of a per-pair loop: a then b ascending for the
-    union form, then again, by calls of their own, for the complement form.
-    ``_hall_forms`` evaluates both forms over the pairs of each size, and
-    the S named when they disagree is the least mask."""
+    products in the order of a per-pair loop: a then b ascending (a-major)
+    for the union form, then again, by calls of their own, b then a
+    ascending (b-major) for the complement form, so that a law of period 2
+    can make the forms disagree at even |A|.  ``_hall_forms`` evaluates
+    both forms over the pairs of each size, and the S named when they
+    disagree is the least mask."""
     a_sets = [frozenset(a_els) for a_els, _ in block]
     engine = [None not in _free_first_matching(a_rows, m)[0] for a_rows in rows]
     brute = [_brute_force(mul, a_els, a_set, b_els) is not None
              for (a_els, b_els), a_set in zip(block, a_sets)]
     sizes = np.array([len(a_els) for a_els, _ in block])
-    lefts = [a for a_els, b_els in block for a in a_els * 2 for _ in b_els]
-    rights = [b for a_els, b_els in block for _ in a_els * 2 for b in b_els]
+    lefts, rights = [], []
+    for a_els, b_els in block:
+        k = len(a_els)
+        lefts += [a for a in a_els for _ in b_els]      # the union form, a-major
+        rights += b_els * k
+        lefts += a_els * k                              # the complement form, b-major
+        rights += [b for b in b_els for _ in a_els]
     owners = [a_set for a_set, k in zip(a_sets, sizes.tolist()) for _ in range(2 * k * k)]
     inside = np.fromiter(map(frozenset.__contains__, owners, map(mul, lefts, rights)), bool,
                          len(lefts))
@@ -889,7 +870,7 @@ def _hall_block(mul, block, rows, m: int) -> list:
     for k in sorted(set(sizes.tolist())):
         pairs = np.flatnonzero(sizes == k)
         cells = inside[starts[pairs, None] + np.arange(2 * k * k)].reshape(-1, 2, k, k)
-        union_ok, inter_ok = _hall_forms(~cells[:, 0], cells[:, 1])
+        union_ok, inter_ok = _hall_forms(~cells[:, 0], cells[:, 1].transpose(0, 2, 1))
         disagree = union_ok != inter_ok
         first = disagree.argmax(axis=1)
         masks[pairs] = np.where(disagree.any(axis=1), first + 1, 0)

@@ -481,6 +481,13 @@ class TestCounterexampleCommand:
         code, _ = run(capsys, "counterexample", "C5")
         assert code == 3
 
+    def test_infinite_group_is_input_error(self, capsys):
+        code, out = run(capsys, "counterexample", "Z^2", "--format", "machine")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": "counterexamples are constructed for finite groups only"}
+
     def test_q8_machine(self, capsys):
         code, out = run(capsys, "counterexample", "Q8", "--format", "machine")
         doc = json.loads(out)

@@ -81,6 +81,21 @@ class TestTableValidation:
             GroupTable([[1, 0], [0, 1]])
         assert info.value.reason == "wrong-identity"
 
+    def test_identity_column_checked_after_row(self):
+        # Row 0 is the identity's, but column 0 is not.
+        with pytest.raises(NotAGroup) as info:
+            GroupTable([[0, 1], [0, 1]])
+        assert (info.value.reason, info.value.detail) == ("wrong-identity", (1, 0, 0))
+        assert str(info.value) == "table[1][0] = 0, expected 1 (identity must be index 0)"
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(ValueError, match="^Cayley table entries must be integers$"):
+            GroupTable([[0.0, 1.0], [1.0, 0.0]])
+
+    def test_names_must_cover_the_group(self):
+        with pytest.raises(ValueError, match="^expected 2 names, got 1$"):
+            GroupTable([[0, 1], [1, 0]], names=["e"])
+
     @pytest.mark.parametrize("make_table", [lambda: NONASSOCIATIVE_LOOP, _c722_intercalate],
                              ids=["loop5", "c722-intercalate"])
     def test_nonassociative_loop_rejected(self, make_table):
@@ -319,6 +334,15 @@ class TestSpecLanguage:
                 parse_group_spec(bad)
             assert info.value.column is not None
 
+    @pytest.mark.parametrize("spec, message, column", [
+        ("C0", "C<n> needs n >= 1", 2),
+        ("Zx2", "lattice groups are written Z^<d>", 1),
+    ])
+    def test_spec_error_is_pinned(self, spec, message, column):
+        with pytest.raises(ParseError) as info:
+            parse_group_spec(spec)
+        assert (str(info.value), info.value.column) == (f"{message} (column {column})", column)
+
     def test_product_matches_direct_product(self):
         assert parse_group_spec("C2xC3") == direct_product(make_cyclic(2), make_cyclic(3))
 
@@ -348,6 +372,20 @@ class TestFileFormat:
             with pytest.raises(ParseError) as info:
                 loads_group(text)
             assert info.value.line is not None
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("", "unexpected end of file, expected 'n <order>'", 1),
+        ("n 0\n", "group order must be >= 1", 1),
+        ("n 2\nrows\n", "expected 'table'", 2),
+        ("n 2\ntable\n0 1 1\n", "expected 2 entries in table row, got 3", 3),
+        ("n 2\ntable\n0 x\n1 0\n", "table entries must be integers", 3),
+        ("n 2\ntable\n0 1\n1 0\nlabels\n", "expected 'names' or end of file", 5),
+        ("n 2\ntable\n0 1\n1 0\nnames\ne\na\nb\n", "trailing content after names", 8),
+    ])
+    def test_parse_error_is_pinned(self, text, message, line):
+        with pytest.raises(ParseError) as info:
+            loads_group(text)
+        assert (str(info.value), info.value.line) == (f"{message} (line {line})", line)
 
     def test_names_round_trip(self):
         q8 = make_quaternion()

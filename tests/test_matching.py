@@ -492,6 +492,13 @@ class TestBruteForce:
         with pytest.raises(SizeLimit):
             brute_force_matching(A, A)
 
+    def test_structured_errors(self):
+        c4 = make_cyclic(4)
+        with pytest.raises(EmptyInput, match="^A and B must be nonempty$"):
+            brute_force_matching(GroupSubset(c4), GroupSubset(c4, [1]))
+        with pytest.raises(SizeMismatch, match=r"^\|A\| = 1 but \|B\| = 2$"):
+            brute_force_matching(GroupSubset(c4, [1]), GroupSubset(c4, [1, 2]))
+
     def test_exhaustive_agreement_with_engine(self):
         for g in (make_cyclic(4), make_cyclic(5), make_dihedral(3)):
             for A, B in admissible_pairs(g, 4):

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import itertools
 import random
+import re
 import statistics
 import time
 
@@ -19,6 +21,7 @@ from groupmatch import (
     Matching,
     NotApplicable,
     SizeLimit,
+    SizeMismatch,
     brute_force_matching,
     catalog,
     check_automatching,
@@ -117,6 +120,23 @@ class TestKemperman:
         assert r1.seed == 5
         assert r1.to_dict() == r2.to_dict()
 
+    def test_sweep_failure_records_are_pinned(self, monkeypatch):
+        # Every product count read as 1 at the identity alone: AB = {0} has
+        # a unique product, so each pair of C2 with |A| + |B| > 2 fails.
+        def counts(group, A, B):
+            count = np.zeros(A.shape, np.uint8)
+            count[0] = 1
+            return count
+
+        monkeypatch.setattr(theorems, "_product_counts", counts)
+        r = sweep_kemperman(make_cyclic(2))
+        assert (r.status, r.instances_tested, r.instances_skipped) == ("fail", 9, 0)
+        assert r.failures == [
+            {"kind": "product-bound-violated", "A": a, "B": b, "A_size": len(a),
+             "B_size": len(b), "AB_size": 1, "unique_product": 0}
+            for a, b in [([0], [0, 1]), ([1], [0, 1]), ([0, 1], [0]), ([0, 1], [1]),
+                         ([0, 1], [0, 1])]]
+
 
 def all_pairs(group):
     subsets = [subset(group, _bits(m)) for m in range(1, 1 << group.n)]
@@ -174,13 +194,13 @@ def per_draw_lattice_pairs(d, trials, max_size, bound, seed):
 
 
 class TestWordReaderSamplers:
-    """The Hall and lattice samplers read their generator's words in bulk
-    and must draw what per-call randint and sample loops draw.  n = 22 puts
-    B's population at sample's pool limit of 21 and A's just above it; at
-    n = 100, k = 6..21 lies above the pool limit of 21 + 4 ** ceil(log4(3k))
-    and k = 22.. below it, and n = 86 puts B's population at that limit, 85,
-    for k = 6..21; max_k = 1 and the lattice bound 1 redraw often, and
-    bound 2 ** 40 draws 42-bit coordinates from two words."""
+    """The Hall and lattice samplers draw through their generator's own
+    _randbelow and must draw what per-call randint and sample loops draw.
+    n = 22 puts B's population at sample's pool limit of 21 and A's just
+    above it; at n = 100, k = 6..21 lies above the pool limit of
+    21 + 4 ** ceil(log4(3k)) and k = 22.. below it, and n = 86 puts B's
+    population at that limit, 85, for k = 6..21; max_k = 1 and the lattice
+    bound 1 redraw often, and bound 2 ** 40 draws 42-bit coordinates."""
 
     @pytest.mark.parametrize("n", [2, 6, 14, 21, 22, 23, 30, 86, 100])
     def test_sized_pairs_equal_per_draw_loop(self, n):
@@ -278,6 +298,49 @@ class TestCorollary:
         assert r.instances_skipped == 1
         assert r.flagged[0]["kind"] == "precondition-unmet"
 
+    @pytest.mark.parametrize("u_els, x_els, why", [
+        ([], [1, 2], "U and V must be nonempty"),
+        ([1], [0, 1, 2], "X contains the identity"),
+    ])
+    def test_precondition_reasons_are_pinned(self, u_els, x_els, why):
+        c3 = make_cyclic(3)
+        r = check_corollary(subset(c3, u_els), subset(c3, [1]), subset(c3, x_els))
+        assert r.to_dict() == {"check": "corollary", "status": "skipped", "instances_tested": 0,
+                               "instances_skipped": 1, "seed": None, "failures": [],
+                               "flagged": [{"kind": "precondition-unmet", "why": why}]}
+
+    def test_corrected_bound_failure_is_pinned(self, monkeypatch):
+        # With UV read as empty, U = V = X = {1, 2} in C3 meets the
+        # precondition, and |X| = 2 < |U| + |V|.
+        c3 = make_cyclic(3)
+        monkeypatch.setattr(theorems, "product_set", lambda U, V: subset(c3, []))
+        both = subset(c3, [1, 2])
+        record = {"U": [1, 2], "V": [1, 2], "X": [1, 2], "X_choice": "given",
+                  "U_size": 2, "V_size": 2, "X_size": 2,
+                  "corrected_holds": False, "stated_holds": False}
+        assert check_corollary(both, both, both).to_dict() == {
+            "check": "corollary", "status": "fail", "instances_tested": 1,
+            "instances_skipped": 0, "seed": None,
+            "failures": [{"kind": "corrected-bound-violated", **record}],
+            "flagged": [{"kind": "stated-bound-counterexample", **record}]}
+
+    def test_sweep_records_corrected_bound_failures(self, monkeypatch):
+        # With every product count read as 0, each of C3's 9 pairs is
+        # admissible and its minimal X is U ∪ V: the corrected bound fails
+        # wherever U meets V, and for X = {1, 2} wherever |U| + |V| > 2.
+        monkeypatch.setattr(theorems, "_product_counts",
+                            lambda group, A, B: np.zeros(A.shape, np.uint8))
+        r = sweep_corollary(make_cyclic(3))
+        assert (r.status, r.instances_tested, r.instances_skipped) == ("fail", 18, 0)
+        assert all(f["kind"] == "corrected-bound-violated" and not f["corrected_holds"]
+                   for f in r.failures)
+        assert [(f["U"], f["V"], f["X_choice"]) for f in r.failures] == [
+            ([1], [1], "minimal"), ([1], [1, 2], "minimal"), ([1], [1, 2], "full"),
+            ([2], [2], "minimal"), ([2], [1, 2], "minimal"), ([2], [1, 2], "full"),
+            ([1, 2], [1], "minimal"), ([1, 2], [1], "full"),
+            ([1, 2], [2], "minimal"), ([1, 2], [2], "full"),
+            ([1, 2], [1, 2], "minimal"), ([1, 2], [1, 2], "full")]
+
     def test_sweep_c3(self):
         r = sweep_corollary(make_cyclic(3))
         assert r.status == "pass" and not r.failures
@@ -339,6 +402,23 @@ class TestOlson:
         r = check_olson(subset(c6, [0, 1, 2]), subset(c6, [0, 3]))
         w = r.flagged[0]
         assert w["H"] == [0] and w["T"] == [0, 1, 2, 3, 4, 5]
+
+    def test_search_without_the_witness_subgroup_fails(self, monkeypatch):
+        # A = B = {0, 2} in C4 has AB = {0, 2}, short of |A| + |B| - 1 = 3,
+        # so only H = {0, 2} gives a witness.  The search is left only the
+        # trivial subgroup; the orbit table is built uncached.
+        c4 = make_cyclic(4)
+        monkeypatch.setattr(theorems, "enumerate_subgroups",
+                            lambda group, max_order: [subset(group, [0])])
+        monkeypatch.setattr(theorems, "_orbit_table", theorems._orbit_table.__wrapped__)
+        A = subset(c4, [0, 2])
+        assert check_olson(A, A).to_dict() == {
+            "check": "olson", "status": "fail", "instances_tested": 1, "instances_skipped": 0,
+            "seed": None, "failures": [{"kind": "no-witness", "A": [0, 2], "B": [0, 2]}],
+            "flagged": []}
+        r = sweep_olson(c4)
+        assert (r.status, r.instances_tested, len(r.failures)) == ("fail", 225, 41)
+        assert {"kind": "no-witness", "A": [0, 2], "B": [0, 2]} in r.failures
 
     def test_witness_invariance_recomputed(self):
         # independent re-check of every witness field on random instances
@@ -475,6 +555,33 @@ class TestAutomatchingFaultRecords:
             "failures": [{"kind": "invalid-matching", "A": _bits(mask << 1), "why": why}
                          for mask, why in zip(range(1, 16), whys)],
             "flagged": [{"kind": "identity-in-A-confirmations", "count": 16}],
+        }
+
+    def test_violator_record_is_pinned(self, monkeypatch):
+        # The block's first graph row, that of A = {1}, is read as empty.
+        block_rows = theorems._block_rows
+        monkeypatch.setattr(theorems, "_block_rows", lambda *args: (0, *block_rows(*args)[1:]))
+        assert check_automatching(make_cyclic(3)).to_dict() == {
+            "check": "automatching", "status": "fail", "instances_tested": 3,
+            "instances_skipped": 0, "seed": None,
+            "failures": [{"kind": "automatching-violator", "A": [1],
+                          "S": [1], "neighborhood": [], "deficiency": 1}],
+            "flagged": [{"kind": "identity-in-A-confirmations", "count": 4}],
+        }
+
+    @pytest.mark.parametrize("route, answer, kind", [
+        ("find_matching", None, "identity-error-not-raised"),
+        ("brute_force_matching", Matching(pairs=()), "matching-despite-identity"),
+    ])
+    def test_identity_confirmation_failures_are_pinned(self, monkeypatch, route, answer, kind):
+        # C2's two A with the identity are {0} and {0, 1}; the route answers
+        # without raising, or with a matching.
+        monkeypatch.setattr(theorems, route, lambda A, B: answer)
+        assert check_automatching(make_cyclic(2)).to_dict() == {
+            "check": "automatching", "status": "fail", "instances_tested": 1,
+            "instances_skipped": 0, "seed": None,
+            "failures": [{"kind": kind, "A": [0]}, {"kind": kind, "A": [0, 1]}],
+            "flagged": [{"kind": "identity-in-A-confirmations", "count": 0}],
         }
 
     @pytest.mark.parametrize("spec", ["D5", "D4", "Q8", "D6"])
@@ -736,6 +843,28 @@ class TestMatchingProperty:
         out = r.flagged[-1]
         assert (out["mode"], out["property_holds"], out["pairs_failed"]) == ("certificate", None, 0)
 
+    def test_certificate_the_oracle_matches_is_a_failure_record(self, monkeypatch):
+        monkeypatch.setattr(theorems, "_brute_force", lambda *args: Matching(pairs=()))
+        assert check_matching_property(make_cyclic(8)).to_dict() == {
+            "check": "matching-property", "status": "fail", "instances_tested": 1,
+            "instances_skipped": 0, "seed": None,
+            "failures": [{"kind": "invalid-certificate", "A": [0, 2, 4, 6], "B": [1, 2, 4, 6],
+                          "S": [0, 2, 4, 6], "neighborhood": [1], "deficiency": 3,
+                          "why": "the brute-force oracle finds a matching"}],
+            "flagged": [{"kind": "matching-property-outcome", "mode": "certificate",
+                         "predicted": False, "property_holds": None, "pairs_failed": 0,
+                         "counterexample": None}],
+        }
+
+    def test_classification_mismatch_is_pinned(self, monkeypatch):
+        # C5 is predicted to fail the property; every one of its pairs matches.
+        monkeypatch.setattr(theorems, "classify", lambda group: dataclasses.replace(
+            classify(group), predicted_matching_property=False))
+        r = check_matching_property(make_cyclic(5))
+        assert (r.status, r.instances_tested) == ("fail", 125)
+        assert r.failures == [{"kind": "classification-mismatch", "predicted": False,
+                               "property_holds": True, "counterexample": None}]
+
     def test_outcome_matches_order_predicate_across_catalog(self):
         for g in catalog():
             r = check_matching_property(g, seed=0)
@@ -844,6 +973,13 @@ class TestCounterexample:
         with pytest.raises(NotApplicable):
             construct_counterexample(make_cyclic(1))
 
+    def test_engine_matching_is_a_cross_validation_error(self, monkeypatch):
+        monkeypatch.setattr(theorems, "find_matching", lambda A, B: Matching(pairs=()))
+        with pytest.raises(CrossValidationError) as raised:
+            construct_counterexample(make_cyclic(4))
+        assert str(raised.value) == ("constructed pair unexpectedly admits a matching; "
+                                     "engine and theory disagree")
+
 
 class TestLatticeMatching:
     def test_dimension_one(self):
@@ -895,6 +1031,30 @@ class TestLatticeMatching:
     def test_negative_coordinate_bound_rejected(self, d):
         with pytest.raises(ValueError, match="coordinate_bound must be at least 0"):
             check_lattice_matching(d, 10, coordinate_bound=-3)
+
+    @pytest.mark.parametrize("route, answer, records, confirmed", [
+        # Empty rows: the engine finds a violator, which the oracle refutes.
+        ("_python_rows", lambda mul, a_els, a_set, b_els: (0,) * len(a_els), lambda a, b: [
+            {"kind": "lattice-violator", "A": a, "B": b, "S": a, "deficiency": 2},
+            {"kind": "oracle-disagreement", "A": a, "B": b, "engine": False,
+             "brute_force": True}], 0),
+        ("_matching_fault", lambda *args: "forged", lambda a, b: [
+            {"kind": "invalid-matching", "A": a, "B": b}], 2),
+        ("_brute_force", lambda *args: None, lambda a, b: [
+            {"kind": "oracle-disagreement", "A": a, "B": b, "engine": True,
+             "brute_force": False}], 0),
+    ])
+    def test_route_failure_records_are_pinned(self, monkeypatch, route, answer, records,
+                                              confirmed):
+        # Seed 0 draws two pairs of size 2 on Z^1.
+        monkeypatch.setattr(theorems, route, answer)
+        draws = [([[-9], [3]], [[-2], [6]]), ([[-1], [2]], [[1], [5]])]
+        assert check_lattice_matching(1, 2, max_size=2, seed=0).to_dict() == {
+            "check": "lattice-matching", "status": "fail", "instances_tested": 2,
+            "instances_skipped": 0, "seed": 0,
+            "failures": [r for a, b in draws for r in records(a, b)],
+            "flagged": [{"kind": "brute-force-confirmations", "count": confirmed}],
+        }
 
     def test_seed_determinism(self):
         a = check_lattice_matching(2, 50, seed=3).to_dict()
@@ -1022,6 +1182,10 @@ class TestHallCrossValidation:
         c4 = make_cyclic(4)
         with pytest.raises(IdentityInB):
             cross_validate_hall(subset(c4, [1, 2]), subset(c4, [0, 1]))
+        with pytest.raises(EmptyInput, match="^A and B must be nonempty$"):
+            cross_validate_hall(subset(c4, []), subset(c4, [1]))
+        with pytest.raises(SizeMismatch, match=r"^\|A\| = 1 but \|B\| = 2$"):
+            cross_validate_hall(subset(c4, [1]), subset(c4, [1, 2]))
 
     def test_disagreeing_forms_name_s_by_element(self):
         g = AlternatingLaw(make_cyclic(5).table)
@@ -1031,7 +1195,7 @@ class TestHallCrossValidation:
             cross_validate_hall(subset(g, [3]), subset(g, [3]))
 
     @pytest.mark.parametrize("values, a_els, b_els, why", [
-        ((3, 4), [1, 3], [2, 4], "routes disagree: engine=True brute=False hall=False"),
+        ((3, 4), [1, 3], [2, 4], "Hall forms disagree on S = [3]: union True, complement False"),
         ((3, 4), [3, 4], [3, 4], "routes disagree: engine=True brute=False hall=False"),
         ((3, 4), [0, 1, 3], [1, 2, 3],
          "Hall forms disagree on S = [0, 3]: union True, complement False"),
@@ -1039,18 +1203,40 @@ class TestHallCrossValidation:
          "Hall forms disagree on S = [1, 4]: union True, complement False"),
         ((3, 4), [0, 3, 4], [1, 2, 3], "routes disagree: engine=True brute=False hall=False"),
         # The forms also disagree on S = A here, a later mask.
-        ((3, 4, 4), [0, 4], [1, 2], "Hall forms disagree on S = [0]: union True, complement False"),
-        ((3, 3, 4), [0, 3], [1, 2], "Hall forms disagree on S = [0]: union True, complement False"),
+        ((3, 4, 4), [0, 4], [1, 2], "Hall forms disagree on S = [4]: union True, complement False"),
+        ((3, 3, 4), [0, 3], [1, 2], "Hall forms disagree on S = [3]: union True, complement False"),
     ])
     def test_alternating_law_messages_are_pinned(self, values, a_els, b_els, why):
-        # The oracle's mul calls come first, then the union form's, then the
-        # complement form's, each over A then B ascending; the S named is the
-        # least mask on which the forms disagree.  Pinned from the per-pair
-        # loop.
+        # The oracle's mul calls come first, then the union form's, a-major
+        # (A then B ascending), then the complement form's, b-major (B then
+        # A ascending), so that a law of period 2 can make the forms disagree
+        # at even |A|.  The S named is the least mask on which they disagree.
         g = AlternatingLaw(make_cyclic(5).table, values)
         with pytest.raises(CrossValidationError) as raised:
             cross_validate_hall(subset(g, a_els), subset(g, b_els))
         assert str(raised.value) == why
+
+    @pytest.mark.parametrize("k, outcomes", [
+        (1, {"agree": 12, "Hall forms disagree": 8}),
+        (2, {"agree": 18, "Hall forms disagree": 36, "routes disagree": 6}),
+        (3, {"agree": 4, "Hall forms disagree": 24, "routes disagree": 12}),
+        (4, {"Hall forms disagree": 2, "routes disagree": 3}),
+    ])
+    def test_alternating_law_forms_disagree_at_every_size(self, k, outcomes):
+        # Every pair of C5 with |A| = k, each on a fresh law.  Were the
+        # complement form read a-major like the union form, no pair at k = 2
+        # or 4 would make the forms disagree.
+        table = make_cyclic(5).table
+        seen = collections.Counter()
+        for a_els in itertools.combinations(range(5), k):
+            for b_els in itertools.combinations(range(1, 5), k):
+                g = AlternatingLaw(table)
+                try:
+                    cross_validate_hall(subset(g, a_els), subset(g, b_els))
+                    seen["agree"] += 1
+                except CrossValidationError as error:
+                    seen[re.match(r"Hall forms disagree|routes disagree", str(error))[0]] += 1
+        assert seen == outcomes
 
     def test_sweep_records_disagreeing_forms(self):
         r = sweep_hall(AlternatingLaw(make_cyclic(5).table), samples=60)
