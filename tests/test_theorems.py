@@ -962,7 +962,8 @@ class TestCounterexample:
             assert g.identity in A and g.identity not in B
             assert B.members == (A.members - {g.identity}) | {pair.outsider}
             assert pair.outsider not in A
-            assert isinstance(find_matching(A, B), HallViolator)
+            result = find_matching(A, B)
+            assert isinstance(result, HallViolator) and result == pair.violator
             if len(A) <= 6:
                 assert brute_force_matching(A, B) is None
 
