@@ -115,15 +115,22 @@ def _python_rows(mul, a_els, a_set, b_els) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix of at most 64 columns as one uint64
+    word, column j at bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((len(packed), 8), np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8").ravel()
+
+
 def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as an int, column j at bit j.  Rows of
     at most 64 columns are read as one little-endian word each."""
+    if bits.shape[1] <= 64:
+        return tuple(_pack_words(bits).tolist())
     packed = np.packbits(bits, axis=1, bitorder="little")
     width = packed.shape[1]
-    if width <= 8:
-        words = np.zeros((len(packed), 8), np.uint8)
-        words[:, :width] = packed
-        return tuple(words.view("<u8").ravel().tolist())
     data, from_bytes = packed.tobytes(), int.from_bytes
     return tuple([from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)])
 
@@ -164,14 +171,24 @@ def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
     return _pack_rows(bits)
 
 
-def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> tuple[int, ...]:
+def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The graph rows of a block of pairs, given as boolean (P, n) matrices
-    whose row p marks the elements of A_p and of B_p: one row per a in A_p,
-    pair by pair, a ascending.  The right side is the whole group, element x
-    at bit n - 1 - x of a row, so row a is B_p minus {x : a*x in A_p}; both
-    are gathered with the columns reversed, from ``group.array``."""
-    p, a = np.nonzero(A)
-    return _pack_rows(B[p, ::-1] & ~A[p[:, None], group.array[a, ::-1]])
+    whose row p marks the elements of A_p and of B_p, as the boolean matrix
+    that ``_pack_rows`` or ``_pack_words`` packs: one row per a in A_p, pair
+    by pair, a ascending.  The right side is the whole group, element x in
+    column n - 1 - x, so row a is B_p minus {x : a*x in A_p}.  The second
+    set is gathered element by element, from the pairs that hold a, through
+    a's row of ``group.array`` reversed, so each index holds n entries and no
+    temporary outgrows the boolean result."""
+    _, p = np.nonzero(A.T)      # the pairs that hold a, a ascending
+    ends = np.cumsum(np.count_nonzero(A, axis=0)).tolist()
+    stay = np.empty((len(p), group.n), bool)
+    start = 0
+    for columns, end in zip(group.array[:, ::-1], ends):
+        A.take(p[start:end], axis=0).take(columns, axis=1, out=stay[start:end])
+        start = end
+    order = np.argsort(p, kind="stable")
+    return B[p[order], ::-1] & ~stay[order]
 
 
 def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
@@ -242,6 +259,60 @@ def _free_first_matching(rows: tuple, m: int) -> tuple[list, list]:
             u = match_right[v]
             lefts.append(u)
     return match_left, match_right
+
+
+def _bit_length(words: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each nonzero uint64 word, as uint64.  ``frexp``
+    reads the float nearest the word, and a word above 2**53 just below a
+    power of two rounds up to it, one bit too long; shifted right by that
+    length less one, such a word is 0, and the length is taken back."""
+    length = np.frexp(words.astype(np.float64))[1].astype(np.uint64)
+    length -= words >> (length - np.uint64(1)) == 0
+    return length
+
+
+def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
+    """``_free_first_matching`` on each graph of a block, over m <= 64 right
+    vertices: the rows of graph p are the next ``sizes[p]`` of the uint64
+    ``words``, graph by graph.  Returns (match, failed): ``match[i]`` is the
+    right vertex that row i is matched to, and ``failed`` maps each graph
+    the search leaves with an unmatched row to (rows, match_left,
+    match_right), its match entries unset.
+
+    Every graph first runs the search's direct step in numpy lanes, root k
+    of every graph at once, k ascending: the root takes its lowest free
+    candidate, the highest set bit of its row word ANDed with its lane's
+    free word.
+    When every root of a graph finds one, the search never leaves that step,
+    so the lanes hold its matching.  A graph with a root that finds none is
+    searched by ``_free_first_matching``, from scratch."""
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    free = np.full(len(sizes), (1 << m) - 1, np.uint64)
+    match = np.zeros(len(words), np.uint8)
+    stalled = np.zeros(len(sizes), bool)
+    for k in range(int(sizes.max(initial=0))):
+        lanes = np.flatnonzero(sizes > k)
+        direct = words[starts[lanes] + k] & free[lanes]
+        took = direct != 0
+        stalled[lanes[~took]] = True
+        lanes, direct = lanes[took], direct[took]
+        length = _bit_length(direct)
+        free[lanes] ^= np.uint64(1) << (length - np.uint64(1))
+        match[starts[lanes] + k] = m - length
+    failed, at, found = {}, [], []
+    if stalled.any():
+        rows, starts, ends = words.tolist(), starts.tolist(), ends.tolist()
+        for p in np.flatnonzero(stalled).tolist():
+            graph = tuple(rows[starts[p]:ends[p]])
+            match_left, match_right = _free_first_matching(graph, m)
+            if None in match_left:
+                failed[p] = graph, match_left, match_right
+            else:
+                at += range(starts[p], ends[p])
+                found += match_left
+        match[at] = found
+    return match, failed
 
 
 def _extract_violator(group, graph: MatchabilityGraph,

@@ -27,13 +27,14 @@ from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, c
                      enumerate_subgroups)
 from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
                        _block_rows, _brute_force, _equal_pair_group, _extract_violator,
-                       _free_first_matching, _graph_result, _matching_fault, _python_rows,
-                       brute_force_matching, build_graph, find_matching)
+                       _free_first_block, _free_first_matching, _graph_result, _matching_fault,
+                       _pack_rows, _pack_words, _python_rows, brute_force_matching, build_graph,
+                       find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
 
 DEFAULT_EXHAUSTIVE_PAIR_CAP = 6
-DEFAULT_AUTOMATCHING_CAP = 14
+DEFAULT_AUTOMATCHING_CAP = 20
 DEFAULT_PROPERTY_ORDER_CAP = 24
 PROPERTY_EXHAUSTIVE_CAP = 7     # matching-property is exhaustive up to this order
 IDENTITY_CONFIRMATION_CAP = 5   # automatching confirms every A ∋ 1 up to this size
@@ -114,6 +115,13 @@ def _columns(sets, n: int) -> np.ndarray:
     return out.T
 
 
+def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(masks), n) matrix whose row p marks the set bits of the
+    int64 ``masks[p]``, bit x standing for element x."""
+    return np.unpackbits(np.asarray(masks, "<i8").view(np.uint8).reshape(-1, 8), axis=1,
+                         count=n, bitorder="little").view(bool)
+
+
 def _pair_columns(A: GroupSubset, B: GroupSubset, bound: str) -> tuple:
     """(group, the (n, 1) boolean columns of A and B) of a nonempty pair in
     one finite group; ``bound`` names the checked bound in the error."""
@@ -182,7 +190,7 @@ def _pair_blocks(n: int, exhaustive_cap: int, samples: int, seed: int) -> tuple:
     within the cap (seed None), else a seeded sample of pairs."""
     _check_samples(samples)
     if n <= exhaustive_cap:
-        return _all_pairs(_columns(map(_bits, range(1, 1 << n)), n)), None
+        return _all_pairs(_mask_rows(np.arange(1, 1 << n), n).T), None
     return _sampled_pairs(n, samples, random.Random(seed)), seed
 
 
@@ -246,7 +254,7 @@ def _pair_graphs(group: GroupTable, pairs):
     while block := list(itertools.islice(pairs, PAIR_BLOCK)):
         a_side, b_side = zip(*block)
         A = _columns(a_side, n).T
-        rows = _block_rows(group, A, _columns(b_side, n).T)
+        rows = _pack_rows(_block_rows(group, A, _columns(b_side, n).T))
         ends = itertools.pairwise(itertools.accumulate(map(len, a_side), initial=0))
         yield block, A, [rows[start:stop] for start, stop in ends]
 
@@ -358,7 +366,7 @@ def sweep_corollary(group: GroupTable, *,
     if n > order_cap:
         raise SizeLimit("containment-bound sweep", n, order_cap)
     # U and V are subsets of the non-identity elements: the even masks.
-    subsets = _columns(map(_bits, range(2, 1 << n, 2)), n)
+    subsets = _mask_rows(np.arange(2, 1 << n, 2), n).T
     x_full = list(range(1, n))
     stated = []
     for U, V in _all_pairs(subsets):
@@ -391,12 +399,14 @@ def _orbit_table(group: GroupTable, subgroup_cap: int) -> tuple:
     """The witness searches in order, each subgroup H with its left orbits Ht
     before its right orbits tH; cached per group and cap, since every Olson
     check searches them all, for more groups than the 20 that the catalog
-    benchmark cycles through.  Returns (searches, indicator, edges):
-    ``searches[s]`` is (H's elements, side); ``indicator`` has one 0/1 row
-    per orbit over the elements, and the rows of search s run from
-    ``edges[s]`` to ``edges[s + 1]``.  Each element is labelled by the least
-    element of its orbit, so an orbit is named by the one element that is
-    its own label."""
+    benchmark cycles through.  Returns (searches, indicator, edges, sizes,
+    members): ``searches[s]`` is (H's elements, side); ``indicator`` has one
+    boolean row per orbit over the elements, and the rows of search s run
+    from ``edges[s]`` to ``edges[s + 1]``; ``sizes`` holds each row's orbit
+    size, |H|, as int16; ``members`` pairs, for each orbit size h, the rows
+    of that size with the (rows, h) matrix of their elements, ascending.
+    Each element is labelled by the least element of its orbit, so an orbit
+    is named by the one element that is its own label."""
     subgroups = enumerate_subgroups(group, subgroup_cap)
     n, arr = group.n, group.array
     member = np.zeros((len(subgroups), n, 1), bool)
@@ -407,27 +417,34 @@ def _orbit_table(group: GroupTable, subgroup_cap: int) -> tuple:
     labels = np.stack([np.where(member, arr, n - 1).min(axis=1),
                        np.where(member, arr.T, n - 1).min(axis=1)], axis=1).reshape(-1, n)
     search, root = np.nonzero(labels == np.arange(n))
-    # float32, so that the product with AB runs on BLAS; it counts at most n
-    # elements per orbit, well inside the integers float32 holds exactly.
-    indicator = (labels[search] == root[:, None]).astype(np.float32)
+    indicator = labels[search] == root[:, None]
+    sizes = np.count_nonzero(indicator, axis=1).astype(np.int16)
+    members = []
+    for h in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == h)
+        members.append((rows, np.nonzero(indicator[rows])[1].reshape(len(rows), h)))
     searches = tuple((H.elements, side) for H in subgroups for side in ("left", "right"))
     edges = np.searchsorted(search, np.arange(len(searches) + 1))
     # The cache shares these arrays between calls.
-    indicator.flags.writeable = edges.flags.writeable = False
-    return searches, indicator, edges
+    for a in (indicator, edges, sizes, *itertools.chain(*members)):
+        a.flags.writeable = False
+    return searches, indicator, edges, sizes, members
 
 
 def _olson_block(table: tuple, A, B, ab) -> tuple:
     """(found, inside) for a block of pairs with product sets ``ab``:
     ``found[s, p]`` says search s yields a witness for pair p, and
-    ``inside[r, p]`` that orbit r is inside AB.  The largest H-invariant T
+    ``inside[r, p]`` that orbit r is inside AB, read as all of its members
+    in AB, over the orbits of each size at once.  The largest H-invariant T
     inside AB is the union of the orbits inside it, so this is complete.
     Every orbit of a search has |H| elements."""
-    _, indicator, edges = table
-    orbit_size = indicator.sum(axis=1, keepdims=True)
-    inside = indicator @ ab.astype(np.float32) == orbit_size
-    t_size = np.add.reduceat(inside * orbit_size, edges[:-1], axis=0)
-    h_size = orbit_size[edges[:-1]]
+    _, _, edges, sizes, members = table
+    inside = np.empty((len(sizes), ab.shape[1]), bool)
+    for rows, elements in members:
+        inside[rows] = ab[elements].all(axis=1)
+    # int16 throughout: reduceat would widen to int64, and no T exceeds n.
+    t_size = np.add.reduceat(inside * sizes[:, None], edges[:-1], axis=0, dtype=np.int16)
+    h_size = sizes[edges[:-1], None]
     need = A.sum(axis=0) + B.sum(axis=0)
     return (t_size > 0) & (t_size >= need - h_size), inside
 
@@ -443,7 +460,7 @@ def check_olson(A: GroupSubset, B: GroupSubset, *,
     if not found.any():
         report.failures.append({"kind": "no-witness", "A": _els(A), "B": _els(B)})
     else:
-        searches, indicator, edges = table
+        searches, indicator, edges, _, _ = table
         s = int(found[:, 0].argmax())
         rows = slice(edges[s], edges[s + 1])
         t_els = _members(indicator[rows][inside[rows, 0]].any(axis=0))
@@ -479,47 +496,55 @@ def sweep_olson(group: GroupTable, *, exhaustive_cap: int = DEFAULT_EXHAUSTIVE_P
 # Automatching: a matching A -> A exists iff the identity is outside A
 
 
-def _automatching_block(group: GroupTable, block, A, rows) -> list:
-    """The failure records of a block of pairs (A, A) (see ``_pair_graphs``),
-    in block order.  The free-first search, which ``find_matching`` runs,
-    decides each instance.  The block's matchings are checked together: one
-    sort of their right elements finds each φ not onto A, and one flat pass
-    of ``mul(a, φ(a))`` calls, each product looked up in its A's row, finds
-    each φ with a product in A.  ``_matching_fault`` words each one found."""
+def _automatching_block(group: GroupTable, A: np.ndarray) -> list:
+    """The failure records of a block of pairs (A, A), A_p marked by row p
+    of the boolean (P, n) matrix A, in block order.  ``_free_first_block``
+    decides every instance as ``find_matching``'s search does, on the
+    block's graph rows, whose right side is the whole group.  Its matchings
+    are checked together: one sort of their right elements finds each φ not
+    onto A, and one flat pass of ``mul(a, φ(a))`` calls, each product looked
+    up in its A's row, finds each φ with a product in A.  ``_matching_fault``
+    words each one found."""
     n = group.n
-    records, matchings, images = {}, {}, []
-    for p, a_rows in enumerate(rows):
-        match_left, match_right = _free_first_matching(a_rows, n)
-        if None in match_left:
-            a_els = block[p][0]
-            graph = MatchabilityGraph(left=a_els, right=range(n), rows=a_rows)
-            records[p] = {"kind": "automatching-violator", "A": _els(a_els),
-                          **violator_json(_extract_violator(group, graph, match_left, match_right))}
-        else:
-            matchings[p] = match_left
-            images += match_left
-    if matchings:
-        matched = list(matchings)
-        pair, lefts = np.nonzero(A[matched])
-        pair = np.array(matched)[pair]
-        products = list(map(group.mul, lefts.tolist(), images))
-        # The keys of a pair lie in [pair * n, pair * n + n), so the sort keeps
-        # them in their pair's span, where they equal A's iff φ is onto A.
-        keys = np.sort(pair * n + images)
-        faulty = np.zeros(len(rows), bool)
-        faulty[pair[keys != pair * n + lefts]] = True
-        faulty[pair[A[pair, products]]] = True
-        for p in np.flatnonzero(faulty).tolist():
-            a_els = block[p][0]
-            a_set = frozenset(a_els)
-            why = _matching_fault(group, a_set, a_set, tuple(zip(a_els, matchings[p])))
-            records[p] = {"kind": "invalid-matching", "A": _els(a_els), "why": why}
+    sizes = np.count_nonzero(A, axis=1)
+    images, failed = _free_first_block(_pack_words(_block_rows(group, A, A)), sizes, n)
+    records = {}
+    for p, (rows, match_left, match_right) in failed.items():
+        a_els = _members(A[p])
+        graph = MatchabilityGraph(left=a_els, right=range(n), rows=rows)
+        records[p] = {"kind": "automatching-violator", "A": _els(a_els),
+                      **violator_json(_extract_violator(group, graph, match_left, match_right))}
+    pair, lefts = np.nonzero(A)
+    if failed:
+        broken = np.zeros(len(A), bool)
+        broken[list(failed)] = True
+        matched = ~broken[pair]
+        pair, lefts, images = pair[matched], lefts[matched], images[matched]
+    products = np.fromiter(map(group.mul, lefts.tolist(), images.tolist()), np.intp, len(pair))
+    # The keys of a pair lie in [pair * n, pair * n + n), so the sort keeps
+    # them in their pair's span, where they equal A's iff φ is onto A.
+    keys = np.sort(pair * n + images)
+    faulty = np.zeros(len(A), bool)
+    faulty[pair[keys != pair * n + lefts]] = True
+    faulty[pair[A[pair, products]]] = True
+    for p in np.flatnonzero(faulty).tolist():
+        a_els = _members(A[p])
+        a_set = frozenset(a_els)
+        image = images[pair == p].tolist()
+        why = _matching_fault(group, a_set, a_set, tuple(zip(a_els, image)))
+        records[p] = {"kind": "invalid-matching", "A": _els(a_els), "why": why}
     return [records[p] for p in sorted(records)]
 
 
 def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHING_CAP,
                        jobs: int = 1) -> CheckReport:
     """Exhaust every nonempty identity-free A and require a matching A -> A.
+
+    A runs over the even masks 2, 4, ..., 2**n - 2, bit x standing for
+    element x, so the identity 0 is outside each.  The masks are int64, so
+    the order must be at most 63 as well as within ``order_cap``.  Each
+    block of ``PAIR_BLOCK`` of them is unpacked into one boolean matrix,
+    which ``_automatching_block`` decides and checks.
 
     The converse direction is confirmed alongside: for every A containing
     the identity (up to ``IDENTITY_CONFIRMATION_CAP`` elements), the engine
@@ -536,11 +561,13 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     n = group.n
     if n > order_cap:
         raise SizeLimit("automatching sweep", n, order_cap)
-    # Every nonempty A without the identity, element 0: the even masks.
-    masks = range(2, 1 << n, 2)
-    report.instances_tested = len(masks)
-    for block, A, rows in _pair_graphs(group, ((a_els, a_els) for a_els in map(_bits, masks))):
-        report.failures.extend(_automatching_block(group, block, A, rows))
+    if n > 63:      # the last block stops at 2**n - 1, the largest int64 at n = 63
+        raise SizeLimit("automatching sweep masks", n, 63)
+    top = (1 << n) - 1
+    report.instances_tested = top // 2
+    for lo in range(2, top, 2 * PAIR_BLOCK):
+        A = _mask_rows(np.arange(lo, min(lo + 2 * PAIR_BLOCK, top), 2), n)
+        report.failures.extend(_automatching_block(group, A))
 
     confirmations = 0
     for k in range(0, min(IDENTITY_CONFIRMATION_CAP - 1, n - 1) + 1):

@@ -116,6 +116,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "corollary" in out
 
+    def test_automatching_default_cap_admits_order_16(self, capsys):
+        code, out = run(capsys, "verify", "C16", "--checks", "automatching", "--format", "machine")
+        report, = json.loads(out)["checks"]
+        assert code == 0
+        assert (report["status"], report["instances_tested"]) == ("pass", 2 ** 15 - 1)
+
     def test_cap_override_allows_larger_sweep(self, capsys):
         code, _ = run(capsys, "verify", "C7", "--checks", "corollary", "--cap-order", "7")
         assert code == 0
@@ -563,7 +569,7 @@ def test_readme_cap_table_equals_module_constants():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n| constant | bounds |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     rows = [re.match(r"\| `(\w+)\.(\w+) = (\d+)` \| ", line) for line in table.splitlines()]
-    assert len(rows) == 5 and all(rows), table
+    assert len(rows) == 6 and all(rows), table
     for row in rows:
         module, name, value = row.groups()
         assert getattr(importlib.import_module(f"groupmatch.{module}"), name) == int(value), row[0]

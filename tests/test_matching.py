@@ -30,7 +30,7 @@ from groupmatch import (
 )
 from groupmatch import matching
 from groupmatch.matching import (MatchabilityGraph, _block_rows, _extract_violator,
-                                 _free_first_matching, _graph_result)
+                                 _free_first_matching, _graph_result, _pack_rows)
 from groupmatch.subsets import candidate_set
 from groupmatch.theorems import _failing_pairs
 
@@ -681,7 +681,7 @@ class TestLsbRowEquivalence:
             A, B = (np.zeros((len(pairs), g.n), bool) for _ in "AB")
             for p, (a_els, b_els) in enumerate(pairs):
                 A[p, list(a_els)] = B[p, list(b_els)] = True
-            rows, start = _block_rows(g, A, B), 0
+            rows, start = _pack_rows(_block_rows(g, A, B)), 0
             for a_els, b_els in pairs:
                 expected = _lsb_result(GroupSubset(g, a_els), GroupSubset(g, b_els))
                 graph = MatchabilityGraph(left=a_els, right=range(g.n),

@@ -47,13 +47,16 @@ from groupmatch import (
 )
 from groupmatch import theorems
 from groupmatch.cli import main
-from groupmatch.matching import MatchabilityGraph, _bits, _block_rows, _graph_result
+from groupmatch import matching
+from groupmatch.matching import (MatchabilityGraph, _bit_length, _bits, _block_rows,
+                                 _free_first_block, _free_first_matching, _graph_result,
+                                 _pack_rows, _pack_words)
 from groupmatch.reports import elements_json
 from groupmatch.subsets import candidate_set, product_set, stable_set, unique_products
-from groupmatch.theorems import (DEFAULT_HALL_SAMPLES, HALL_MAX_SIZE, PAIR_BLOCK,
-                                 PROPERTY_EXHAUSTIVE_CAP, _automatching_block,
-                                 _columns, _failing_pairs, _pair_graphs, _product_counts,
-                                 _sampled_pairs, _sized_pairs)
+from groupmatch.theorems import (DEFAULT_AUTOMATCHING_CAP, DEFAULT_HALL_SAMPLES, HALL_MAX_SIZE,
+                                 PAIR_BLOCK, PROPERTY_EXHAUSTIVE_CAP, _automatching_block,
+                                 _columns, _failing_pairs, _mask_rows, _pair_graphs,
+                                 _product_counts, _sampled_pairs, _sized_pairs)
 
 
 def subset(group, els):
@@ -517,7 +520,14 @@ class TestAutomatching:
 
     def test_order_cap(self):
         with pytest.raises(SizeLimit):
-            check_automatching(make_cyclic(16))
+            check_automatching(make_cyclic(DEFAULT_AUTOMATCHING_CAP + 1))
+
+    def test_masks_past_int64_are_refused_before_the_sweep(self):
+        # Order 64 would take masks up to 2**64 - 2; the refusal comes before
+        # any block is built, so no sweep runs.
+        with pytest.raises(SizeLimit) as refused:
+            check_automatching(make_cyclic(64), order_cap=64)
+        assert (refused.value.size, refused.value.cap) == (64, 63)
 
     @pytest.mark.parametrize("spec", ["D8", "Q8xC2", "D4xC2"])
     def test_nonabelian_order_16_exhaustive(self, spec):
@@ -558,9 +568,16 @@ class TestAutomatchingFaultRecords:
         }
 
     def test_violator_record_is_pinned(self, monkeypatch):
-        # The block's first graph row, that of A = {1}, is read as empty.
+        # The block's first graph row, that of A = {1}, is read as empty, by
+        # the lanes and by the search that A's stalled lane falls back to.
         block_rows = theorems._block_rows
-        monkeypatch.setattr(theorems, "_block_rows", lambda *args: (0, *block_rows(*args)[1:]))
+
+        def first_row_empty(*args):
+            bits = block_rows(*args)
+            bits[0] = False
+            return bits
+
+        monkeypatch.setattr(theorems, "_block_rows", first_row_empty)
         assert check_automatching(make_cyclic(3)).to_dict() == {
             "check": "automatching", "status": "fail", "instances_tested": 3,
             "instances_skipped": 0, "seed": None,
@@ -605,27 +622,101 @@ class TestAutomatchingFaultRecords:
     @pytest.mark.parametrize("spec", ["C5", "D5"])
     def test_repeated_right_vertex_fails_only_its_instance(self, monkeypatch, spec):
         # Every A of the sweep lies in one block.  The engine gives the third
-        # element of one A the image of its first; the block's sort must name
-        # that A alone, for the bijection, while the products of every other
-        # A are checked in the same pass.
+        # element of one A the image of its first, in the block's matchings,
+        # which hold every pair's whether its lane or its search decided it;
+        # the block's sort must name that A alone, for the bijection, while
+        # the products of every other A are checked in the same pass.
         g = parse_group_spec(spec)
         masks = range(2, 1 << g.n, 2)
         index = 100 % len(masks)
         target = _bits(masks[index])
         assert len(masks) <= PAIR_BLOCK and len(target) >= 3
-        search, calls = theorems._free_first_matching, itertools.count()
+        search = theorems._free_first_block
 
-        def engine(rows, m):
-            match_left, match_right = search(rows, m)
-            if next(calls) == index:
-                match_left[2] = match_left[0]
-            return match_left, match_right
+        def engine(words, sizes, m):
+            match, failed = search(words, sizes, m)
+            first = int(sizes[:index].sum())
+            match[first + 2] = match[first]
+            return match, failed
 
-        monkeypatch.setattr(theorems, "_free_first_matching", engine)
+        monkeypatch.setattr(theorems, "_free_first_block", engine)
         r = check_automatching(g)
         assert r.instances_tested == len(masks)
         assert r.failures == [{"kind": "invalid-matching", "A": target,
                                "why": "not bijective: right elements do not cover B exactly once"}]
+
+
+class TestFreeFirstBlock:
+    """The lanes of _free_first_block against _free_first_matching, pair by
+    pair: a pair that no root stalls in is decided by the lanes alone, and
+    the search, counted here, runs only on the others."""
+
+    @staticmethod
+    def searched(monkeypatch) -> list:
+        calls = []
+
+        def counted(rows, m):
+            calls.append(rows)
+            return _free_first_matching(rows, m)
+
+        monkeypatch.setattr(matching, "_free_first_matching", counted)
+        return calls
+
+    @staticmethod
+    def assert_block_equals_search(words, sizes, m, match, failed):
+        rows, start = words.tolist(), 0
+        for p, size in enumerate(sizes.tolist()):
+            graph = tuple(rows[start:start + size])
+            match_left, match_right = _free_first_matching(graph, m)
+            if None in match_left:
+                assert failed[p] == (graph, match_left, match_right)
+            else:
+                assert p not in failed and match[start:start + size].tolist() == match_left
+            start += size
+        assert start == len(match)
+
+    def test_sweep_blocks_equal_the_search(self, monkeypatch):
+        calls = self.searched(monkeypatch)
+        stalled = {}
+        for spec in [*CATALOG_SPECS, "C12", "D6", "C14"]:
+            g = parse_group_spec(spec)
+            del calls[:]
+            top = (1 << g.n) - 1
+            for lo in range(2, top, 2 * PAIR_BLOCK):
+                A = _mask_rows(np.arange(lo, min(lo + 2 * PAIR_BLOCK, top), 2), g.n)
+                words, sizes = _pack_words(_block_rows(g, A, A)), np.count_nonzero(A, axis=1)
+                match, failed = _free_first_block(words, sizes, g.n)
+                assert failed == {}
+                self.assert_block_equals_search(words, sizes, g.n, match, failed)
+            stalled[spec] = len(calls)
+        # Both branches run: the search takes about half of C14's 8,191
+        # masks and under a fifth of D6's 2,047, the lanes the rest.
+        assert (stalled["C12"], stalled["D6"], stalled["C14"]) == (928, 199, 4095)
+        assert stalled["C2"] == 0
+
+    def test_unmatchable_graphs_keep_the_search_state(self, monkeypatch):
+        # Equal-size pairs with the identity out of B, as matching-property
+        # draws them, in C12: some have no matching.
+        calls = self.searched(monkeypatch)
+        g = parse_group_spec("C12")
+        pairs = list(_sized_pairs(g.n, g.n - 1, PAIR_BLOCK, 5))
+        (_, A, _), = _pair_graphs(g, pairs)
+        B = _columns([b_els for _, b_els in pairs], g.n).T
+        words, sizes = _pack_words(_block_rows(g, A, B)), np.count_nonzero(A, axis=1)
+        match, failed = _free_first_block(words, sizes, g.n)
+        self.assert_block_equals_search(words, sizes, g.n, match, failed)
+        assert 0 < len(failed) < len(calls) < len(pairs)
+
+    def test_words_above_two_to_the_53(self):
+        # frexp reads 2**54 - 1 as the float 2**54, one bit too long.
+        words = np.array([1, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 54 - 1, 2 ** 60 - 1, 2 ** 63 + 5,
+                          2 ** 64 - 1], np.uint64)
+        assert np.frexp(words.astype(np.float64))[1][3] == 55
+        assert _bit_length(words).tolist() == [w.bit_length() for w in words.tolist()]
+        # Two roots over 60 right vertices, each row all of them.
+        rows = (2 ** 60 - 1,) * 2
+        match, failed = _free_first_block(np.array(rows, np.uint64), np.array([2]), 60)
+        assert failed == {} and match.tolist() == _free_first_matching(rows, 60)[0] == [0, 1]
 
 
 def engine_result(group, a_els, b_els):
@@ -648,7 +739,7 @@ def block_rows(group, pairs) -> list:
     A, B = (np.zeros((len(pairs), group.n), bool) for _ in "AB")
     for p, (a_els, b_els) in enumerate(pairs):
         A[p, list(a_els)] = B[p, list(b_els)] = True
-    rows = iter(_block_rows(group, A, B))
+    rows = iter(_pack_rows(_block_rows(group, A, B)))
     out = [tuple(itertools.islice(rows, len(a_els))) for a_els, _ in pairs]
     assert next(rows, None) is None
     return out
@@ -688,10 +779,12 @@ class TestMaskInstancePath:
             expected = engine_result(g, a_els, a_els)
             assert isinstance(expected, Matching)
             assert block_result(g, a_els, rows) == expected
-        # Every instance of the sweep's one block, on the same rows, has no record.
+        # Every instance of the sweep's one block, on the same rows, has no
+        # record; the block's A is the sweep's, unpacked from its masks.
         (block, A, rows), = _pair_graphs(g, pairs)
         assert (block, rows) == (pairs, block_rows(g, pairs))
-        assert _automatching_block(g, block, A, rows) == []
+        assert np.array_equal(A, _mask_rows(np.arange(2, 1 << g.n, 2), g.n))
+        assert _automatching_block(g, A) == []
 
     @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "S4", "C24", "D12"])
     def test_stay_tables_against_mul(self, spec):
