@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -572,7 +573,8 @@ def check_automatching(group: GroupTable, *, order_cap: int = DEFAULT_AUTOMATCHI
     confirmations = 0
     for k in range(0, min(IDENTITY_CONFIRMATION_CAP - 1, n - 1) + 1):
         for rest in itertools.combinations(range(1, n), k):
-            A = GroupSubset(group, (0, *rest))
+            # (0, *rest) is ascending, distinct and valid already.
+            A = GroupSubset._ascending(group, (0, *rest))
             try:
                 find_matching(A, A)
                 report.failures.append({"kind": "identity-error-not-raised", "A": _els(A)})
@@ -746,21 +748,51 @@ def construct_counterexample(group: GroupTable) -> CounterexamplePair:
 # Torsion-free branch: randomized lattice instances
 
 
+class _LatticeCodes:
+    """Z^d points as balanced mixed-radix ints: the point c has the code
+    Σ c_i·R^(d-1-i), R = 4·bound + 1.  Codes of points in [-bound, bound]^d
+    sort as the points do, lexicographically, and on [-2·bound, 2·bound]^d,
+    which holds every sum of two such points, the code is one-to-one and
+    adds as the points do.  So the law is int addition, exact; ``point``
+    decodes for the records, ``label`` for ``_matching_fault``'s message."""
+
+    mul = staticmethod(operator.add)
+
+    def __init__(self, d: int, bound: int):
+        self.lattice, self.radix = LatticeGroup(d), 4 * bound + 1
+
+    def point(self, code: int) -> tuple:
+        half, coordinates = self.radix // 2, []
+        for _ in range(self.lattice.d):
+            code, digit = divmod(code + half, self.radix)
+            coordinates.append(digit - half)
+        return tuple(reversed(coordinates))
+
+    def label(self, code: int) -> str:
+        return self.lattice.label(self.point(code))
+
+    def json(self, codes) -> list:
+        return _els(map(self.point, codes))
+
+
 def _lattice_pairs(d: int, trials: int, max_size: int, bound: int, seed: int):
-    """Seeded (a_els, b_els) pairs of ascending Z^d points, |A| = |B| <=
-    max_size, zero out of B: ``k = randint(1, max_size)``, then points of d
-    ``randint(-bound, bound)`` until A, then B, has k, from ``Random(seed)``."""
+    """Seeded (a_els, b_els) pairs of ascending ``_LatticeCodes`` of Z^d
+    points, |A| = |B| <= max_size, zero out of B: ``k = randint(1,
+    max_size)``, then points of d ``randint(-bound, bound)`` until A, then
+    B, has k, from ``Random(seed)``."""
     below = random.Random(seed)._randbelow
-    width = 2 * bound + 1
+    width, radix = 2 * bound + 1, _LatticeCodes(d, bound).radix
     for _ in range(trials):
         k = 1 + below(max_size)
         sides = []
-        for excluded in (None, (0,) * d):
+        for zero_allowed in (True, False):
             points = set()
             while len(points) < k:
-                point = tuple([below(width) - bound for _ in range(d)])
-                if point != excluded:
-                    points.add(point)
+                code = 0
+                for _ in range(d):
+                    code = code * radix + below(width) - bound
+                if code or zero_allowed:
+                    points.add(code)
             sides.append(tuple(sorted(points)))
         yield tuple(sides)
 
@@ -770,7 +802,7 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     """Sample |A| = |B| <= max_size lattice subsets (zero kept out of B) and
     require a matching every time; instances of size <= LATTICE_CONFIRMATION_CAP
     are also confirmed against the brute-force bijection oracle.  Trials run
-    on element tuples through the cores of ``find_matching``,
+    on ``_LatticeCodes`` through the cores of ``find_matching``,
     ``verify_matching`` and ``brute_force_matching``, whose input checks the
     sampler already meets; each trial checks the matching or violator that
     ``find_matching`` would return."""
@@ -783,29 +815,29 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
         raise SizeLimit("lattice instance size", max_size, DEFAULT_LATTICE_SIZE_CAP)
     if coordinate_bound < 0:
         raise ValueError(f"coordinate_bound must be at least 0, got {coordinate_bound}")
-    group = LatticeGroup(d)
     if (2 * coordinate_bound + 1) ** d <= max_size:
         raise ValueError("coordinate_bound too small for the requested subset size")
+    codes = _LatticeCodes(d, coordinate_bound)
+    add, els = codes.mul, codes.json
     confirmed = 0
-    mul = group.mul
     for a_els, b_els in _lattice_pairs(d, trials, max_size, coordinate_bound, seed):
         a_set = frozenset(a_els)
         graph = MatchabilityGraph(left=a_els, right=b_els,
-                                  rows=_python_rows(mul, a_els, a_set, b_els))
-        result = _graph_result(group, graph)
+                                  rows=_python_rows(add, a_els, a_set, b_els))
+        result = _graph_result(codes, graph)
         report.instances_tested += 1
         matched = isinstance(result, Matching)
         if not matched:
             report.failures.append({
-                "kind": "lattice-violator", "A": _els(a_els), "B": _els(b_els),
-                "S": _els(result.subset), "deficiency": result.deficiency})
-        elif _matching_fault(group, a_set, frozenset(b_els), result.pairs) is not None:
-            report.failures.append({"kind": "invalid-matching", "A": _els(a_els), "B": _els(b_els)})
+                "kind": "lattice-violator", "A": els(a_els), "B": els(b_els),
+                "S": els(result.subset), "deficiency": result.deficiency})
+        elif _matching_fault(codes, a_set, frozenset(b_els), result.pairs) is not None:
+            report.failures.append({"kind": "invalid-matching", "A": els(a_els), "B": els(b_els)})
         if len(a_els) <= LATTICE_CONFIRMATION_CAP:
-            brute = _brute_force(mul, a_els, a_set, b_els) is not None
+            brute = _brute_force(add, a_els, a_set, b_els) is not None
             if brute != matched:
                 report.failures.append({
-                    "kind": "oracle-disagreement", "A": _els(a_els), "B": _els(b_els),
+                    "kind": "oracle-disagreement", "A": els(a_els), "B": els(b_els),
                     "engine": matched, "brute_force": brute})
             else:
                 confirmed += 1

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupmatch import (
     CATALOG_SPECS,
@@ -232,14 +234,54 @@ class TestWordReaderSamplers:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_lattice_pairs_equal_per_draw_loop(self, d):
+        # The sampler yields codes; decoded, they are the loop's points.
         for bound in (1, 2, 10, 2 ** 40):
+            point = theorems._LatticeCodes(d, bound).point
             for max_size in range(1, 11):
                 if (2 * bound + 1) ** d <= max_size:
                     continue    # the check rejects a bound this small
                 for seed in (0, 1, 7):
                     args = (d, 20, max_size, bound, seed)
-                    assert (list(theorems._lattice_pairs(*args))
-                            == list(per_draw_lattice_pairs(*args))), args
+                    decoded = [tuple(tuple(map(point, side)) for side in pair)
+                               for pair in theorems._lattice_pairs(*args)]
+                    assert decoded == list(per_draw_lattice_pairs(*args)), args
+
+
+def lattice_code(p, bound):
+    """The balanced mixed-radix code of a point: sum of p_i * R^(d-1-i)."""
+    radix = 4 * bound + 1
+    return sum(c * radix ** (len(p) - 1 - i) for i, c in enumerate(p))
+
+
+@st.composite
+def lattice_point_pairs(draw):
+    """(bound, p, q): two points of one Z^d, d <= 4, coordinates in
+    [-bound, bound], the ends +-bound drawn often."""
+    d = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([1, 2, 10, 2 ** 40]) | st.integers(1, 2 ** 40))
+    coordinate = st.sampled_from([-bound, bound]) | st.integers(-bound, bound)
+    p, q = (draw(st.tuples(*[coordinate] * d)) for _ in range(2))
+    return bound, p, q
+
+
+class TestLatticeCodes:
+    @given(lattice_point_pairs())
+    @example((2 ** 40, (2 ** 40, -2 ** 40, 2 ** 40, -2 ** 40),
+              (2 ** 40, -2 ** 40, -2 ** 40, 2 ** 40)))
+    @example((2 ** 40, (-2 ** 40,) * 4, (-2 ** 40,) * 4))
+    @example((1, (1, -1, 0, 1), (1, -1, 1, -1)))
+    @settings(max_examples=300, deadline=None)
+    def test_codes_sort_and_add_as_points(self, case):
+        # Sums reach +-2 * bound per coordinate; the code must stay exact.
+        bound, p, q = case
+        codes = theorems._LatticeCodes(len(p), bound)
+        cp, cq = lattice_code(p, bound), lattice_code(q, bound)
+        assert (cp < cq) == (p < q) and (cp == cq) == (p == q)
+        assert codes.point(cp) == p and codes.point(cq) == q
+        total = tuple(a + b for a, b in zip(p, q))
+        assert codes.mul(cp, cq) == lattice_code(total, bound)
+        assert codes.point(cp + cq) == total
+        assert codes.label(cp + cq) == LatticeGroup(len(p)).label(total)
 
 
 class TestProductKernel:
@@ -1140,15 +1182,21 @@ class TestLatticeMatching:
     ])
     def test_route_failure_records_are_pinned(self, monkeypatch, route, answer, records,
                                               confirmed):
-        # Seed 0 draws two pairs of size 2 on Z^1.
+        # Seed 0 draws two pairs of size 2 on Z^1 and on Z^2.  The Z^2 points
+        # have negative coordinates in either place, so the records pin the
+        # decode of the check's codes.
         monkeypatch.setattr(theorems, route, answer)
-        draws = [([[-9], [3]], [[-2], [6]]), ([[-1], [2]], [[1], [5]])]
-        assert check_lattice_matching(1, 2, max_size=2, seed=0).to_dict() == {
-            "check": "lattice-matching", "status": "fail", "instances_tested": 2,
-            "instances_skipped": 0, "seed": 0,
-            "failures": [r for a, b in draws for r in records(a, b)],
-            "flagged": [{"kind": "brute-force-confirmations", "count": confirmed}],
-        }
+        for d, draws in [
+            (1, [([[-9], [3]], [[-2], [6]]), ([[-1], [2]], [[1], [5]])]),
+            (2, [([[-2, 6], [3, -9]], [[-1, 5], [5, 2]]),
+                 ([[6, -6], [8, -4]], [[-7, 9], [-1, -6]])]),
+        ]:
+            assert check_lattice_matching(d, 2, max_size=2, seed=0).to_dict() == {
+                "check": "lattice-matching", "status": "fail", "instances_tested": 2,
+                "instances_skipped": 0, "seed": 0,
+                "failures": [r for a, b in draws for r in records(a, b)],
+                "flagged": [{"kind": "brute-force-confirmations", "count": confirmed}],
+            }, d
 
     def test_seed_determinism(self):
         a = check_lattice_matching(2, 50, seed=3).to_dict()
