@@ -203,15 +203,15 @@ def _check_group_axioms(arr: np.ndarray):
     # Light's test: once a generator g passes (x*g)*y == x*(g*y) for all
     # x, y, so does every product of passing generators.  Each generator
     # lies outside the subgroup reached so far, so at least doubles it: at
-    # most log2(n) + 1 generators are checked, by two n^2 gathers each; the
-    # column gather is a take, 4-5x faster than a fancy index at n = 5040
+    # most log2(n) + 1 generators are checked, by two n^2 gathers each, both
+    # takes; the column gather is 4-5x faster than a fancy index at n = 5040
     # (2-CPU Xeon).  An associative Latin square with an identity is a group.
     reached = {0}
     gens: list[int] = []
     for g in range(n):
         if g in reached:
             continue
-        lhs = arr[arr[:, g]]        # (x*g)*y
+        lhs = arr.take(arr[:, g], axis=0)   # (x*g)*y
         rhs = arr.take(arr[g], axis=1)  # x*(g*y)
         if not np.array_equal(lhs, rhs):
             x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])

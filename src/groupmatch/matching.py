@@ -7,6 +7,7 @@ matchability graph; non-existence is certified by a Hall violator.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -131,8 +132,9 @@ def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
         return tuple(_pack_words(bits).tolist())
     packed = np.packbits(bits, axis=1, bitorder="little")
     width = packed.shape[1]
-    data, from_bytes = packed.tobytes(), int.from_bytes
-    return tuple([from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)])
+    data = packed.tobytes()
+    rows = [data[i:i + width] for i in range(0, len(data), width)]
+    return tuple(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
 def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
@@ -279,13 +281,19 @@ def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
     the search leaves with an unmatched row to (rows, match_left,
     match_right), its match entries unset.
 
-    Every graph first runs the search's direct step in numpy lanes, root k
-    of every graph at once, k ascending: the root takes its lowest free
-    candidate, the highest set bit of its row word ANDed with its lane's
-    free word.
-    When every root of a graph finds one, the search never leaves that step,
-    so the lanes hold its matching.  A graph with a root that finds none is
-    searched by ``_free_first_matching``, from scratch."""
+    Every graph runs the search in numpy lanes, root k of every graph at
+    once, k ascending.  The root takes its lowest free candidate, the
+    highest set bit of its row word ANDed with its lane's free word.  A root
+    with candidates but none free takes the search's first probe: its
+    lowest candidate v1 is matched to an earlier row u2, and when u2 has a
+    free candidate, u2 takes the lowest one and the root takes v1.  Neither
+    step leaves a right vertex marked visited (the probe's path has length
+    2, which resets the marks), so each stall of a lane starts from no
+    marks, as the search's does, and the lanes hold its matching.  A graph
+    whose root has an empty row, or whose probe finds u2 without a free
+    candidate, is searched by ``_free_first_matching``, from scratch.  Its
+    lane runs on to its last root, cheaper than dropping it, and writes only
+    within its own graph's entries, which the search overwrites."""
     ends = np.cumsum(sizes)
     starts = ends - sizes
     free = np.full(len(sizes), (1 << m) - 1, np.uint64)
@@ -293,13 +301,31 @@ def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
     stalled = np.zeros(len(sizes), bool)
     for k in range(int(sizes.max(initial=0))):
         lanes = np.flatnonzero(sizes > k)
-        direct = words[starts[lanes] + k] & free[lanes]
+        at = starts[lanes] + k
+        row = words[at]
+        direct = row & free[lanes]
         took = direct != 0
-        stalled[lanes[~took]] = True
-        lanes, direct = lanes[took], direct[took]
+        if not took.all():
+            # Every candidate of a stuck root is matched to an earlier row,
+            # so u2 is the row whose right vertex, as a bit, is the highest
+            # that the root's row shares.  The root takes that v1, and u2
+            # steps in for it, to take its own lowest free candidate.  No
+            # root is stuck at k = 0, where every candidate is free.
+            stuck = np.flatnonzero(~took & (row != 0))
+            if len(stuck):
+                first = starts[lanes[stuck]]
+                taken = match[first[:, None] + np.arange(k)]
+                shared = (np.uint64(1) << (m - 1 - taken).astype(np.uint64)) & row[stuck, None]
+                u2 = first + np.argmax(shared, axis=1)
+                match[at[stuck]] = match[u2]
+                at[stuck] = u2
+                direct[stuck] = words[u2] & free[lanes[stuck]]
+                took = direct != 0
+            stalled[lanes[~took]] = True
+            lanes, at, direct = lanes[took], at[took], direct[took]
         length = _bit_length(direct)
         free[lanes] ^= np.uint64(1) << (length - np.uint64(1))
-        match[starts[lanes] + k] = m - length
+        match[at] = m - length
     failed, at, found = {}, [], []
     if stalled.any():
         rows, starts, ends = words.tolist(), starts.tolist(), ends.tolist()
@@ -420,12 +446,14 @@ def brute_force_matching(A: GroupSubset, B: GroupSubset):
     g = _equal_pair_group(A, B)
     if len(A) > BRUTE_FORCE_CAP:
         raise SizeLimit("brute-force bijection scan", len(A), BRUTE_FORCE_CAP)
-    return _brute_force(g.mul, A.elements, A.members, B.elements)
+    image = _brute_force(g.mul, A.elements, A.members, B.elements)
+    return None if image is None else Matching(pairs=tuple(zip(A.elements, image)))
 
 
 def _brute_force(mul, a_els, a_set, b_els):
     """brute_force_matching after its input checks, on A's ascending
-    elements and set and B's ascending elements, from the group law ``mul``."""
+    elements and set and B's ascending elements, from the group law ``mul``:
+    the images of the first valid bijection, in A's order, or None."""
 
     def extend(image: tuple, free: tuple):
         # free is B minus image, ascending, so images are tried in order.
@@ -439,5 +467,4 @@ def _brute_force(mul, a_els, a_set, b_els):
                     return found
         return None
 
-    image = extend((), b_els)
-    return None if image is None else Matching(pairs=tuple(zip(a_els, image)))
+    return extend((), b_els)

@@ -503,9 +503,9 @@ def _automatching_block(group: GroupTable, A: np.ndarray) -> list:
     decides every instance as ``find_matching``'s search does, on the
     block's graph rows, whose right side is the whole group.  Its matchings
     are checked together: one sort of their right elements finds each φ not
-    onto A, and one flat pass of ``mul(a, φ(a))`` calls, each product looked
-    up in its A's row, finds each φ with a product in A.  ``_matching_fault``
-    words each one found."""
+    onto A, and one ``mul(a, φ(a))`` call per distinct pair of the block,
+    each product looked up in the row of every A that holds the pair, finds
+    each φ with a product in A.  ``_matching_fault`` words each one found."""
     n = group.n
     sizes = np.count_nonzero(A, axis=1)
     images, failed = _free_first_block(_pack_words(_block_rows(group, A, A)), sizes, n)
@@ -521,7 +521,14 @@ def _automatching_block(group: GroupTable, A: np.ndarray) -> list:
         broken[list(failed)] = True
         matched = ~broken[pair]
         pair, lefts, images = pair[matched], lefts[matched], images[matched]
-    products = np.fromiter(map(group.mul, lefts.tolist(), images.tolist()), np.intp, len(pair))
+    # mul runs once per distinct (a, φ(a)), coded a * n + φ(a), and its
+    # products are gathered back to every pair that holds it.
+    codes = lefts * n + images
+    distinct = np.flatnonzero(np.bincount(codes, minlength=n * n))
+    a, x = np.divmod(distinct, n)
+    products = np.zeros(n * n, np.intp)
+    products[distinct] = np.fromiter(map(group.mul, a.tolist(), x.tolist()), np.intp, len(a))
+    products = products[codes]
     # The keys of a pair lie in [pair * n, pair * n + n), so the sort keeps
     # them in their pair's span, where they equal A's iff φ is onto A.
     keys = np.sort(pair * n + images)

@@ -158,6 +158,14 @@ class TestBuildGraph:
         with pytest.raises(EmptyInput):
             build_graph(GroupSubset(c4), GroupSubset(c4, [1]))
 
+    @pytest.mark.parametrize("columns", [1, 64, 65, 200, 512])
+    def test_pack_rows_reads_column_j_at_bit_j(self, columns):
+        # One word per row up to 64 columns, one from_bytes per row above.
+        bits = np.random.default_rng(columns).random((9, columns)) < 0.5
+        bits[0], bits[1] = False, True
+        assert _pack_rows(bits) == tuple(sum(1 << j for j in np.flatnonzero(row).tolist())
+                                         for row in bits)
+
 
 class TestFindMatching:
     def test_c4_violator(self):
@@ -514,6 +522,17 @@ class TestBruteForce:
             brute_force_matching(GroupSubset(c4), GroupSubset(c4, [1]))
         with pytest.raises(SizeMismatch, match=r"^\|A\| = 1 but \|B\| = 2$"):
             brute_force_matching(GroupSubset(c4, [1]), GroupSubset(c4, [1, 2]))
+
+    def test_oracle_returns_the_images_of_its_matching(self):
+        # The oracle behind brute_force_matching returns the images of A's
+        # ascending elements, or None; the public function pairs them.
+        results = set()
+        for A, B in admissible_pairs(make_dihedral(3), 3):
+            image = matching._brute_force(A.group.mul, A.elements, A.members, B.elements)
+            found = brute_force_matching(A, B)
+            assert image == (None if found is None else tuple(b for _, b in found.pairs))
+            results.add(image is None)
+        assert results == {True, False}
 
     def test_exhaustive_agreement_with_engine(self):
         for g in (make_cyclic(4), make_cyclic(5), make_dihedral(3)):

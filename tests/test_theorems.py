@@ -586,7 +586,38 @@ class LeftProjection(GroupTable):
         return a
 
 
+class CountingLaw(GroupTable):
+    """A group's table whose mul records each (a, b) it is called on."""
+
+    def __init__(self, table, name=None):
+        super().__init__(table, name=name)
+        self.calls = []
+
+    def mul(self, a, b):
+        self.calls.append((a, b))
+        return super().mul(a, b)
+
+
 class TestAutomatchingFaultRecords:
+    @pytest.mark.parametrize("spec", ["C5", "D5", "D6"])
+    def test_block_check_calls_mul_once_per_distinct_pair(self, spec):
+        # D6's 2,047 masks span two blocks; the calls of each are its
+        # distinct (a, φ(a)), ascending, whatever number of A share one.
+        g = parse_group_spec(spec)
+        counting = CountingLaw(g.table, name=g.name)
+        top = (1 << g.n) - 1
+        for lo in range(2, top, 2 * PAIR_BLOCK):
+            A = _mask_rows(np.arange(lo, min(lo + 2 * PAIR_BLOCK, top), 2), g.n)
+            images, failed = _free_first_block(_pack_words(_block_rows(g, A, A)),
+                                               np.count_nonzero(A, axis=1), g.n)
+            assert failed == {}
+            lefts = np.nonzero(A)[1]
+            del counting.calls[:]
+            assert _automatching_block(counting, A) == []
+            assert counting.calls == sorted(set(zip(lefts.tolist(), images.tolist())))
+            assert len(counting.calls) < len(lefts)
+        assert check_automatching(counting).to_dict() == check_automatching(g).to_dict()
+
     def test_invalid_matchings_and_confirmations_are_pinned(self):
         c5 = make_cyclic(5)
         report = check_automatching(LeftProjection(c5.table, name=c5.name)).to_dict()
@@ -690,8 +721,9 @@ class TestAutomatchingFaultRecords:
 
 class TestFreeFirstBlock:
     """The lanes of _free_first_block against _free_first_matching, pair by
-    pair: a pair that no root stalls in is decided by the lanes alone, and
-    the search, counted here, runs only on the others."""
+    pair: a pair is decided by the lanes' direct steps alone when no root
+    stalls in it, by their one-step augmentations when each stall's probe
+    succeeds, and by the search, counted here, otherwise."""
 
     @staticmethod
     def searched(monkeypatch) -> list:
@@ -703,6 +735,21 @@ class TestFreeFirstBlock:
 
         monkeypatch.setattr(matching, "_free_first_matching", counted)
         return calls
+
+    @staticmethod
+    def stalls(words, sizes, m) -> int:
+        """The graphs of a block in which some root finds no free candidate."""
+        rows, start, count = words.tolist(), 0, 0
+        for size in sizes.tolist():
+            free = (1 << m) - 1
+            for row in rows[start:start + size]:
+                direct = row & free
+                if not direct:
+                    count += 1
+                    break
+                free ^= 1 << (direct.bit_length() - 1)
+            start += size
+        return count
 
     @staticmethod
     def assert_block_equals_search(words, sizes, m, match, failed):
@@ -719,10 +766,11 @@ class TestFreeFirstBlock:
 
     def test_sweep_blocks_equal_the_search(self, monkeypatch):
         calls = self.searched(monkeypatch)
-        stalled = {}
+        searched, one_step = {}, {}
         for spec in [*CATALOG_SPECS, "C12", "D6", "C14"]:
             g = parse_group_spec(spec)
             del calls[:]
+            stalls = 0
             top = (1 << g.n) - 1
             for lo in range(2, top, 2 * PAIR_BLOCK):
                 A = _mask_rows(np.arange(lo, min(lo + 2 * PAIR_BLOCK, top), 2), g.n)
@@ -730,11 +778,51 @@ class TestFreeFirstBlock:
                 match, failed = _free_first_block(words, sizes, g.n)
                 assert failed == {}
                 self.assert_block_equals_search(words, sizes, g.n, match, failed)
-            stalled[spec] = len(calls)
-        # Both branches run: the search takes about half of C14's 8,191
-        # masks and under a fifth of D6's 2,047, the lanes the rest.
-        assert (stalled["C12"], stalled["D6"], stalled["C14"]) == (928, 199, 4095)
-        assert stalled["C2"] == 0
+                stalls += self.stalls(words, sizes, g.n)
+            searched[spec], one_step[spec] = len(calls), stalls - len(calls)
+        # All three routes run: of C14's 8,191 masks the direct steps decide
+        # 4,096, the one-step augmentations 2,694 and the search 1,401.
+        assert (searched["C12"], searched["D6"], searched["C14"]) == (303, 61, 1401)
+        assert (one_step["C12"], one_step["D6"], one_step["C14"]) == (625, 138, 2694)
+        assert searched["C2"] == one_step["C2"] == 0
+
+    def test_graph_that_stalls_twice(self, monkeypatch):
+        # Over 4 right vertices (bit 3 - j for position j): rows {0, 2, 3},
+        # {0} and {2}.  Root 1 finds 0 taken by root 0, which moves to 2;
+        # root 2 finds 2 taken by root 0, which moves to 3.  A second graph,
+        # {1}, {0}, decided by direct steps, shares the block.
+        calls = self.searched(monkeypatch)
+        words = np.array([0b1011, 0b1000, 0b0010, 0b0100, 0b1000], np.uint64)
+        sizes = np.array([3, 2])
+        match, failed = _free_first_block(words, sizes, 4)
+        assert calls == [] and failed == {}
+        assert match.tolist() == [3, 0, 2, 1, 0]
+        self.assert_block_equals_search(words, sizes, 4, match, failed)
+
+    def test_failed_probe_falls_back_to_the_search(self, monkeypatch):
+        # Rows {0, 1}, {1, 2} and {0}: root 2's probe finds 0 taken by root
+        # 0, whose other candidate 1 is taken too, so the search runs and
+        # finds the path 2 -> 0 -> 1 -> 2 of length 3.
+        calls = self.searched(monkeypatch)
+        words = np.array([0b1100, 0b0110, 0b1000], np.uint64)
+        sizes = np.array([3])
+        match, failed = _free_first_block(words, sizes, 4)
+        assert calls == [(0b1100, 0b0110, 0b1000)] and failed == {}
+        assert match.tolist() == [1, 2, 0]
+        self.assert_block_equals_search(words, sizes, 4, match, failed)
+
+    def test_random_graphs_over_64_right_vertices(self, monkeypatch):
+        # Sparse random rows, the AND of three random words, over the widest
+        # right side: between them the graphs take every route, and some
+        # have no perfect matching.
+        calls = self.searched(monkeypatch)
+        rng = np.random.default_rng(64)
+        sizes = rng.integers(1, 65, 300)
+        words = np.bitwise_and.reduce(
+            rng.integers(0, 2 ** 64, (3, int(sizes.sum())), np.uint64, endpoint=False), axis=0)
+        match, failed = _free_first_block(words, sizes, 64)
+        self.assert_block_equals_search(words, sizes, 64, match, failed)
+        assert 0 < len(failed) < len(calls) < self.stalls(words, sizes, 64) < len(sizes)
 
     def test_unmatchable_graphs_keep_the_search_state(self, monkeypatch):
         # Equal-size pairs with the identity out of B, as matching-property
