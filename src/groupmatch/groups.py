@@ -244,7 +244,7 @@ def make_cyclic(n: int) -> GroupTable:
         raise ValueError("cyclic group order must be >= 1")
     if n > DEFAULT_ORDER_CAP:
         raise SizeLimit("cyclic group", n, DEFAULT_ORDER_CAP)
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.min_scalar_type(2 * n))    # i + j stays below 2n
     return GroupTable((idx[:, None] + idx) % n, name=f"C{n}")
 
 
@@ -258,10 +258,15 @@ def make_dihedral(m: int) -> GroupTable:
         raise ValueError("dihedral parameter must be >= 1")
     if 2 * m > DEFAULT_ORDER_CAP:
         raise SizeLimit("dihedral group", 2 * m, DEFAULT_ORDER_CAP)
-    idx = np.arange(m)
-    rot = (idx[:, None] + idx) % m
-    ref = (idx[:, None] - idx) % m
-    return GroupTable(np.block([[rot, rot + m], [ref + m, ref]]), name=f"D{m}")
+    dtype = np.min_scalar_type(2 * m)
+    idx = np.arange(m, dtype=dtype)
+    table = np.empty((2 * m, 2 * m), dtype)
+    np.remainder(idx[:, None] + idx, m, out=table[:m, :m])
+    # (i - j) mod m, unsigned: i + (m - j) is at most 2m - 1.
+    np.remainder(idx[:, None] + (m - idx), m, out=table[m:, m:])
+    np.add(table[:m, :m], m, out=table[:m, m:])
+    np.add(table[m:, m:], m, out=table[m:, :m])
+    return GroupTable(table, name=f"D{m}")
 
 
 def make_symmetric(k: int) -> GroupTable:

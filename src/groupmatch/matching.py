@@ -175,13 +175,14 @@ def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
 
 def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The graph rows of a block of pairs, given as boolean (P, n) matrices
-    whose row p marks the elements of A_p and of B_p, as the boolean matrix
-    that ``_pack_rows`` or ``_pack_words`` packs: one row per a in A_p, pair
-    by pair, a ascending.  The right side is the whole group, element x in
-    column n - 1 - x, so row a is B_p minus {x : a*x in A_p}.  The second
-    set is gathered element by element, from the pairs that hold a, through
-    a's row of ``group.array`` reversed, so each index holds n entries and no
-    temporary outgrows the boolean result."""
+    whose row p marks the elements of A_p and of B_p, as the words that
+    ``_free_first_block`` reads: one row per a in A_p, pair by pair, a
+    ascending.  The right side is the whole group, element x at bit n - 1 - x
+    of a row, so row a is B_p minus {x : a*x in A_p}; a row is one uint64
+    word when n <= 64, else a Python int in an object array.  The second set
+    is gathered element by element, from the pairs that hold a, through a's
+    row of ``group.array`` reversed, so each index holds n entries and no
+    temporary outgrows the boolean rows."""
     _, p = np.nonzero(A.T)      # the pairs that hold a, a ascending
     ends = np.cumsum(np.count_nonzero(A, axis=0)).tolist()
     stay = np.empty((len(p), group.n), bool)
@@ -190,7 +191,8 @@ def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         A.take(p[start:end], axis=0).take(columns, axis=1, out=stay[start:end])
         start = end
     order = np.argsort(p, kind="stable")
-    return B[p[order], ::-1] & ~stay[order]
+    bits = B[p[order], ::-1] & ~stay[order]
+    return _pack_words(bits) if group.n <= 64 else np.array(_pack_rows(bits), object)
 
 
 def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
@@ -274,12 +276,13 @@ def _bit_length(words: np.ndarray) -> np.ndarray:
 
 
 def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
-    """``_free_first_matching`` on each graph of a block, over m <= 64 right
-    vertices: the rows of graph p are the next ``sizes[p]`` of the uint64
-    ``words``, graph by graph.  Returns (match, failed): ``match[i]`` is the
-    right vertex that row i is matched to, and ``failed`` maps each graph
-    the search leaves with an unmatched row to (rows, match_left,
-    match_right), its match entries unset.
+    """``_free_first_matching`` on each graph of a block, over m right
+    vertices: the rows of graph p are the next ``sizes[p]`` of the
+    ``words``, graph by graph, uint64 when m <= 64.  Returns (match, failed):
+    ``match[i]`` is the right vertex that row i is matched to, and
+    ``failed`` maps each graph the search leaves with an unmatched row to
+    (rows, match_left, match_right), its match entries unset.  Rows wider
+    than a word are Python ints, and every graph of theirs is searched.
 
     Every graph runs the search in numpy lanes, root k of every graph at
     once, k ascending.  The root takes its lowest free candidate, the
@@ -296,10 +299,11 @@ def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
     within its own graph's entries, which the search overwrites."""
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    free = np.full(len(sizes), (1 << m) - 1, np.uint64)
-    match = np.zeros(len(words), np.uint8)
-    stalled = np.zeros(len(sizes), bool)
-    for k in range(int(sizes.max(initial=0))):
+    wide = m > 64
+    free = np.full(len(sizes), 0 if wide else (1 << m) - 1, np.uint64)
+    match = np.zeros(len(words), np.min_scalar_type(m))
+    stalled = np.full(len(sizes), wide)
+    for k in range(0 if wide else int(sizes.max(initial=0))):
         lanes = np.flatnonzero(sizes > k)
         at = starts[lanes] + k
         row = words[at]
@@ -341,28 +345,29 @@ def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
     return match, failed
 
 
-def _extract_violator(group, graph: MatchabilityGraph,
-                      match_left, match_right) -> HallViolator:
+def _extract_violator(group, left, right, rows, match_left, match_right) -> HallViolator:
+    # The graph from left to right with these rows (see MatchabilityGraph),
+    # and a maximum matching of it.
     # Alternating BFS from every unmatched left vertex; the reachable left
     # vertices form a Hall violator once the matching is maximum.  Each row
     # contributes the positions not reached before it, ascending, that is
     # from its highest bit down; each right vertex is reached once, so each
     # matched partner is queued once.  Sorted positions give the elements of
     # the graph's checked, ascending sides in order, so nothing is rechecked.
-    m = len(graph.right)
+    m = len(right)
     reach_left = [u for u, v in enumerate(match_left) if v is None]
     reach_right: list[int] = []
     reached = 0
     for u in reach_left:
-        new = graph.rows[u] & ~reached
+        new = rows[u] & ~reached
         reached |= new
         for v in _positions(new, m):
             reach_right.append(v)
             w = match_right[v]
             if w is not None:
                 reach_left.append(w)
-    subset = GroupSubset._ascending(group, [graph.left[u] for u in sorted(reach_left)])
-    neighborhood = GroupSubset._ascending(group, [graph.right[v] for v in sorted(reach_right)])
+    subset = GroupSubset._ascending(group, [left[u] for u in sorted(reach_left)])
+    neighborhood = GroupSubset._ascending(group, [right[v] for v in sorted(reach_right)])
     return HallViolator(subset=subset, neighborhood=neighborhood,
                         deficiency=len(subset) - len(neighborhood))
 
@@ -394,21 +399,23 @@ def find_matching(A: GroupSubset, B: GroupSubset):
     if g.identity in B:
         raise IdentityInB("B contains the identity, so no matching can exist")
 
-    return _graph_result(g, build_graph(A, B))
+    graph = build_graph(A, B)
+    return _graph_result(g, graph.left, graph.right, graph.rows)
 
 
-def _graph_result(group, graph: MatchabilityGraph):
-    """A Matching of every left vertex, or a HallViolator in ``group``.
+def _graph_result(group, left, right, rows):
+    """A Matching of every left vertex, or a HallViolator in ``group``, on
+    the rows of a graph (see MatchabilityGraph) from ``left`` to ``right``.
 
     The free-first search decides which.  A perfect matching it finds is
     the one returned.  Otherwise the left vertices its maximum matching
     leaves free reach, by alternating paths, the same Hall violator as from
     any other maximum matching (the Dulmage-Mendelsohn decomposition).
     """
-    match_left, match_right = _free_first_matching(graph.rows, len(graph.right))
+    match_left, match_right = _free_first_matching(rows, len(right))
     if None in match_left:
-        return _extract_violator(group, graph, match_left, match_right)
-    return Matching(pairs=tuple(zip(graph.left, map(graph.right.__getitem__, match_left))))
+        return _extract_violator(group, left, right, rows, match_left, match_right)
+    return Matching(pairs=tuple(zip(left, map(right.__getitem__, match_left))))
 
 
 def _matching_fault(group, a_set, b_set, pairs: tuple) -> str | None:

@@ -14,7 +14,6 @@ and status "skipped".
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -26,11 +25,10 @@ import numpy as np
 from .errors import CrossValidationError, EmptyInput, IdentityInB, NotApplicable, SizeLimit
 from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, cyclic_subgroup,
                      enumerate_subgroups)
-from .matching import (BRUTE_FORCE_CAP, HallViolator, MatchabilityGraph, Matching, _bits,
-                       _block_rows, _brute_force, _equal_pair_group, _extract_violator,
-                       _free_first_block, _free_first_matching, _graph_result, _matching_fault,
-                       _pack_rows, _pack_words, _python_rows, brute_force_matching, build_graph,
-                       find_matching)
+from .matching import (BRUTE_FORCE_CAP, HallViolator, Matching, _bits, _block_rows,
+                       _brute_force, _equal_pair_group, _extract_violator, _free_first_block,
+                       _free_first_matching, _graph_result, _matching_fault, _python_rows,
+                       brute_force_matching, build_graph, find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -208,37 +206,15 @@ def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarr
     return count
 
 
-def _sample(below, population: range, k: int):
-    """The members of ``rng.sample(population, k)`` for ``below = rng._randbelow``:
-    a pool swapping each pick to its end while the population is at most 21
-    long (21 + 4 ** ceil(log4(3k)) when k > 5), else redrawn indices."""
-    n = len(population)
-    if not 0 <= k <= n:
-        raise ValueError("Sample larger than population or is negative")
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(population)
-        for i in range(n - 1, n - 1 - k, -1):
-            j = below(i + 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[n - k:]
-    picked = set()
-    while len(picked) < k:
-        picked.add(population[below(n)])
-    return picked
-
-
 def _sized_pairs(n: int, max_k: int, samples: int, seed: int):
     """Seeded (a_els, b_els) pairs, |A| = |B| <= max_k, the identity out of B:
     ``k = randint(1, max_k)``, then ``sample(range(n), k)`` and
     ``sample(range(1, n), k)``, sorted, from ``random.Random(seed)``."""
-    below = random.Random(seed)._randbelow
+    rng = random.Random(seed)
+    below, sample, left, right = rng._randbelow, rng.sample, range(n), range(1, n)
     for _ in range(samples):
         k = 1 + below(max_k)
-        yield (tuple(sorted(_sample(below, range(n), k))),
-               tuple(sorted(_sample(below, range(1, n), k))))
+        yield tuple(sorted(sample(left, k))), tuple(sorted(sample(right, k)))
 
 
 def _members(column) -> list:
@@ -248,16 +224,16 @@ def _members(column) -> list:
 
 def _pair_graphs(group: GroupTable, pairs):
     """Blocks of up to ``PAIR_BLOCK`` (a_els, b_els) pairs of ascending
-    element sequences, each as (pairs, A, rows): A is the boolean (P, n)
-    matrix whose row p marks the elements of A_p, and rows[p] the graph
-    rows of pair p over the whole group (see ``_block_rows``)."""
+    element sequences, each decided by ``_free_first_block`` on its graph
+    rows over the whole group (see ``_block_rows``), as (pairs, failed):
+    ``failed`` maps the index of each pair without a matching to the
+    search's (rows, match_left, match_right)."""
     n, pairs = group.n, iter(pairs)
     while block := list(itertools.islice(pairs, PAIR_BLOCK)):
         a_side, b_side = zip(*block)
-        A = _columns(a_side, n).T
-        rows = _pack_rows(_block_rows(group, A, _columns(b_side, n).T))
-        ends = itertools.pairwise(itertools.accumulate(map(len, a_side), initial=0))
-        yield block, A, [rows[start:stop] for start, stop in ends]
+        words = _block_rows(group, _columns(a_side, n).T, _columns(b_side, n).T)
+        sizes = np.fromiter(map(len, a_side), np.intp, len(block))
+        yield block, _free_first_block(words, sizes, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +484,12 @@ def _automatching_block(group: GroupTable, A: np.ndarray) -> list:
     each φ with a product in A.  ``_matching_fault`` words each one found."""
     n = group.n
     sizes = np.count_nonzero(A, axis=1)
-    images, failed = _free_first_block(_pack_words(_block_rows(group, A, A)), sizes, n)
+    images, failed = _free_first_block(_block_rows(group, A, A), sizes, n)
     records = {}
-    for p, (rows, match_left, match_right) in failed.items():
+    for p, entry in failed.items():
         a_els = _members(A[p])
-        graph = MatchabilityGraph(left=a_els, right=range(n), rows=rows)
         records[p] = {"kind": "automatching-violator", "A": _els(a_els),
-                      **violator_json(_extract_violator(group, graph, match_left, match_right))}
+                      **violator_json(_extract_violator(group, a_els, range(n), *entry))}
     pair, lefts = np.nonzero(A)
     if failed:
         broken = np.zeros(len(A), bool)
@@ -630,24 +605,22 @@ def _certificate_fault(group: GroupTable, record: dict) -> str | None:
 
 def _failing_pairs(group: GroupTable, instances) -> tuple:
     """(pairs tested, pairs failed, record of the minimal failing pair or
-    None) over the instances (see ``_pair_graphs``).  Each pair is decided
-    by the free-first search alone; the minimal pair is the least by |A|,
-    then lexicographically, and its record, from its graph, is the only
-    one."""
-    tested, failed, least, n = 0, 0, None, group.n
-    for block, _, rows in _pair_graphs(group, instances):
+    None) over the instances, decided block by block by ``_pair_graphs``.
+    The minimal pair is the least by |A|, then lexicographically, and its
+    record, from the search's maximum matching, is the only one."""
+    tested, failed, least = 0, 0, None
+    for block, unmatched in _pair_graphs(group, instances):
         tested += len(block)
-        for pair, a_rows in zip(block, rows):
-            if None in _free_first_matching(a_rows, n)[0]:
-                failed += 1
-                key = (len(pair[0]), pair)
-                if least is None or key < least[0]:
-                    least = key, a_rows
+        failed += len(unmatched)
+        for p, entry in unmatched.items():
+            key = len(block[p][0]), block[p]
+            if least is None or key < least[0]:
+                least = key, entry
     if least is None:
         return tested, failed, None
-    (_, (a_els, b_els)), rows = least
-    graph = MatchabilityGraph(left=a_els, right=range(n), rows=rows)
-    return tested, failed, _violator_record(a_els, b_els, _graph_result(group, graph))
+    (_, (a_els, b_els)), entry = least
+    violator = _extract_violator(group, a_els, range(group.n), *entry)
+    return tested, failed, _violator_record(a_els, b_els, violator)
 
 
 def check_matching_property(group: GroupTable, *, samples: int = DEFAULT_SAMPLES, seed: int = 0,
@@ -829,9 +802,7 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
     confirmed = 0
     for a_els, b_els in _lattice_pairs(d, trials, max_size, coordinate_bound, seed):
         a_set = frozenset(a_els)
-        graph = MatchabilityGraph(left=a_els, right=b_els,
-                                  rows=_python_rows(add, a_els, a_set, b_els))
-        result = _graph_result(codes, graph)
+        result = _graph_result(codes, a_els, b_els, _python_rows(add, a_els, a_set, b_els))
         report.instances_tested += 1
         matched = isinstance(result, Matching)
         if not matched:
@@ -869,8 +840,8 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
-    (verdict, why), = _hall_block(g.mul, [(A.elements, B.elements)], [build_graph(A, B).rows],
-                                  len(B))
+    engine = None not in _free_first_matching(build_graph(A, B).rows, len(B))[0]
+    (verdict, why), = _hall_block(g.mul, [(A.elements, B.elements)], [engine])
     if why is not None:
         raise CrossValidationError(why)
     return verdict
@@ -892,21 +863,19 @@ def _hall_forms(cand: np.ndarray, stay: np.ndarray) -> tuple:
     return union >= size, stable <= k - size
 
 
-def _hall_block(mul, block, rows, m: int) -> list:
+def _hall_block(mul, block, engine) -> list:
     """cross_validate_hall after its input checks, on a block of (a_els,
-    b_els) pairs of ascending elements, |A| = |B|, with each pair's graph
-    rows over m right vertices: for each pair (the common verdict, None) or
-    (None, why the routes disagree).  The free-first search, which decides
-    ``find_matching``, and the brute-force oracle run per pair, the oracle
-    first.  Then one flat pass of ``mul`` over the block makes each pair's
-    products in the order of a per-pair loop: a then b ascending (a-major)
-    for the union form, then again, by calls of their own, b then a
-    ascending (b-major) for the complement form, so that a law of period 2
-    can make the forms disagree at even |A|.  ``_hall_forms`` evaluates
-    both forms over the pairs of each size, and the S named when they
-    disagree is the least mask."""
+    b_els) pairs of ascending elements, |A| = |B|, with the engine's verdict
+    on each pair, from the free-first search that decides ``find_matching``:
+    for each pair (the common verdict, None) or (None, why the routes
+    disagree).  The brute-force oracle runs per pair.  Then one flat pass of
+    ``mul`` over the block makes each pair's products in the order of a
+    per-pair loop: a then b ascending (a-major) for the union form, then
+    again, by calls of their own, b then a ascending (b-major) for the
+    complement form, so that a law of period 2 can make the forms disagree
+    at even |A|.  ``_hall_forms`` evaluates both forms over the pairs of
+    each size, and the S named when they disagree is the least mask."""
     a_sets = [frozenset(a_els) for a_els, _ in block]
-    engine = [None not in _free_first_matching(a_rows, m)[0] for a_rows in rows]
     brute = [_brute_force(mul, a_els, a_set, b_els) is not None
              for (a_els, b_els), a_set in zip(block, a_sets)]
     sizes = np.array([len(a_els) for a_els, _ in block])
@@ -959,8 +928,9 @@ def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
     # pair appends its record at every draw, for which the draws are redone.
     draws = (group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed)
     outcomes = dict.fromkeys(_sized_pairs(*draws))
-    for block, _, rows in _pair_graphs(group, outcomes):
-        for (a_els, b_els), (_, why) in zip(block, _hall_block(group.mul, block, rows, group.n)):
+    for block, failed in _pair_graphs(group, outcomes):
+        engine = [p not in failed for p in range(len(block))]
+        for (a_els, b_els), (_, why) in zip(block, _hall_block(group.mul, block, engine)):
             if why is not None:
                 outcomes[a_els, b_els] = {"kind": "cross-validation-disagreement",
                                           "A": _els(a_els), "B": _els(b_els), "why": why}

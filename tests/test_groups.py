@@ -3,6 +3,7 @@ import json
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +193,18 @@ class TestFamilies:
         assert any(d3.mul(a, b) != d3.mul(b, a)
                    for a in range(6) for b in range(6))
 
+    def test_family_tables_at_dtype_edges(self):
+        # The builders work in the smallest unsigned dtype of the order, so
+        # i + j and i + (m - j) must not wrap at the uint8 and uint16 edges.
+        for n in (1, 2, 127, 128, 129, 255, 256, 257):
+            idx = np.arange(n)
+            assert np.array_equal(make_cyclic(n).array, (idx[:, None] + idx) % n), n
+        for m in (1, 2, 63, 64, 65, 127, 128, 129):
+            idx = np.arange(m)
+            rot, ref = (idx[:, None] + idx) % m, (idx[:, None] - idx) % m
+            assert np.array_equal(make_dihedral(m).array,
+                                  np.block([[rot, rot + m], [ref + m, ref]])), m
+
     def test_symmetric(self):
         assert make_symmetric(3).n == 6
         assert make_symmetric(5).n == 120
@@ -236,8 +249,15 @@ class TestFamilies:
     def test_largest_order_the_cap_admits_matches(self, capsys):
         # D2520, of order 5040, is the largest group the cap admits; 1*2 = 3
         # lies outside {1}, so {1} -> {2} is a matching.  Building D2520 takes
-        # 1.6-2.0 s on a 2-CPU Xeon.
-        assert main(["match", "D2520", "{1}", "{2}", "--format", "machine"]) == 0
+        # 0.7-0.9 s on a 2-CPU Xeon, with a traced peak of 243 MiB, since its
+        # table is built in uint16.
+        tracemalloc.start()
+        try:
+            assert main(["match", "D2520", "{1}", "{2}", "--format", "machine"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 2**20, peak
         doc = json.loads(capsys.readouterr().out)
         assert (doc["order"], doc["result"], doc["matching"]) == (5040, "matching", [[1, 2]])
 

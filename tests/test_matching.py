@@ -117,8 +117,7 @@ class TestBuildGraph:
                 B = GroupSubset(group, rng.sample(range(1, group.n), k))
                 rows = matching._python_rows(group.mul, A.elements, A.members, B.elements)
                 assert matching._table_rows(A, B) == rows
-                assert find_matching(A, B) == _graph_result(
-                    group, MatchabilityGraph(left=A.elements, right=B.elements, rows=rows))
+                assert find_matching(A, B) == _graph_result(group, A.elements, B.elements, rows)
 
     @pytest.mark.parametrize("group", [make_cyclic(12), make_dihedral(32)], ids=["c12", "d32"])
     def test_pairs_find_matching_rejects_equal_python_rows(self, group):
@@ -418,8 +417,9 @@ class TestFreeFirstSearch:
         assert free_first[0].count(None) == kuhn[0].count(None)
         perfect = None not in kuhn[0]
         if not perfect:
-            assert (_extract_violator(group, graph, *free_first)
-                    == _extract_violator(group, graph, *kuhn))
+            sides = graph.left, graph.right, graph.rows
+            assert (_extract_violator(group, *sides, *free_first)
+                    == _extract_violator(group, *sides, *kuhn))
         return perfect, free_first != kuhn
 
     def test_random_row_sets(self):
@@ -700,14 +700,12 @@ class TestLsbRowEquivalence:
             A, B = (np.zeros((len(pairs), g.n), bool) for _ in "AB")
             for p, (a_els, b_els) in enumerate(pairs):
                 A[p, list(a_els)] = B[p, list(b_els)] = True
-            rows, start = _pack_rows(_block_rows(g, A, B)), 0
+            rows, start = _block_rows(g, A, B).tolist(), 0
             for a_els, b_els in pairs:
                 expected = _lsb_result(GroupSubset(g, a_els), GroupSubset(g, b_els))
-                graph = MatchabilityGraph(left=a_els, right=range(g.n),
-                                          rows=rows[start:start + len(a_els)])
+                result = _graph_result(g, a_els, range(g.n), rows[start:start + len(a_els)])
                 start += len(a_els)
-                _assert_agrees(GroupSubset(g, a_els), GroupSubset(g, b_els),
-                               _graph_result(g, graph), expected)
+                _assert_agrees(GroupSubset(g, a_els), GroupSubset(g, b_els), result, expected)
                 failed = isinstance(expected, HallViolator)
                 assert _failing_pairs(g, [(a_els, b_els)])[:2] == (1, int(failed))
                 outcomes.add(type(expected))

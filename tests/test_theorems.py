@@ -50,9 +50,8 @@ from groupmatch import (
 from groupmatch import theorems
 from groupmatch.cli import main
 from groupmatch import matching
-from groupmatch.matching import (MatchabilityGraph, _bit_length, _bits, _block_rows,
-                                 _free_first_block, _free_first_matching, _graph_result,
-                                 _pack_rows, _pack_words)
+from groupmatch.matching import (_bit_length, _bits, _block_rows, _free_first_block,
+                                 _free_first_matching, _graph_result)
 from groupmatch.reports import elements_json
 from groupmatch.subsets import candidate_set, product_set, stable_set, unique_products
 from groupmatch.theorems import (DEFAULT_AUTOMATCHING_CAP, DEFAULT_HALL_SAMPLES, HALL_MAX_SIZE,
@@ -218,19 +217,6 @@ class TestWordReaderSamplers:
                     expected.append((tuple(sorted(rng.sample(range(n), k))),
                                      tuple(sorted(rng.sample(range(1, n), k)))))
                 assert list(_sized_pairs(n, max_k, 25, seed)) == expected, (max_k, seed)
-
-    @pytest.mark.parametrize("n, k", [(10, 11), (39, 41), (10, -1)])
-    def test_sample_outside_population_raises_before_drawing(self, n, k):
-        # As random.sample does.  Unchecked, the pool would ask below(0) for
-        # its last swap, and that redraw loop never ends.
-        def below(m):
-            raise AssertionError(f"drew below({m})")
-
-        with pytest.raises(ValueError) as expected:
-            random.Random(0).sample(range(n), k)
-        with pytest.raises(ValueError) as raised:
-            theorems._sample(below, range(n), k)
-        assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_lattice_pairs_equal_per_draw_loop(self, d):
@@ -608,7 +594,7 @@ class TestAutomatchingFaultRecords:
         top = (1 << g.n) - 1
         for lo in range(2, top, 2 * PAIR_BLOCK):
             A = _mask_rows(np.arange(lo, min(lo + 2 * PAIR_BLOCK, top), 2), g.n)
-            images, failed = _free_first_block(_pack_words(_block_rows(g, A, A)),
+            images, failed = _free_first_block(_block_rows(g, A, A),
                                                np.count_nonzero(A, axis=1), g.n)
             assert failed == {}
             lefts = np.nonzero(A)[1]
@@ -646,9 +632,9 @@ class TestAutomatchingFaultRecords:
         block_rows = theorems._block_rows
 
         def first_row_empty(*args):
-            bits = block_rows(*args)
-            bits[0] = False
-            return bits
+            words = block_rows(*args)
+            words[0] = 0
+            return words
 
         monkeypatch.setattr(theorems, "_block_rows", first_row_empty)
         assert check_automatching(make_cyclic(3)).to_dict() == {
@@ -774,7 +760,7 @@ class TestFreeFirstBlock:
             top = (1 << g.n) - 1
             for lo in range(2, top, 2 * PAIR_BLOCK):
                 A = _mask_rows(np.arange(lo, min(lo + 2 * PAIR_BLOCK, top), 2), g.n)
-                words, sizes = _pack_words(_block_rows(g, A, A)), np.count_nonzero(A, axis=1)
+                words, sizes = _block_rows(g, A, A), np.count_nonzero(A, axis=1)
                 match, failed = _free_first_block(words, sizes, g.n)
                 assert failed == {}
                 self.assert_block_equals_search(words, sizes, g.n, match, failed)
@@ -830,12 +816,12 @@ class TestFreeFirstBlock:
         calls = self.searched(monkeypatch)
         g = parse_group_spec("C12")
         pairs = list(_sized_pairs(g.n, g.n - 1, PAIR_BLOCK, 5))
-        (_, A, _), = _pair_graphs(g, pairs)
-        B = _columns([b_els for _, b_els in pairs], g.n).T
-        words, sizes = _pack_words(_block_rows(g, A, B)), np.count_nonzero(A, axis=1)
+        A, B = (_columns(side, g.n).T for side in zip(*pairs))
+        words, sizes = _block_rows(g, A, B), np.count_nonzero(A, axis=1)
         match, failed = _free_first_block(words, sizes, g.n)
         self.assert_block_equals_search(words, sizes, g.n, match, failed)
         assert 0 < len(failed) < len(calls) < len(pairs)
+        assert list(_pair_graphs(g, pairs)) == [(pairs, failed)]
 
     def test_words_above_two_to_the_53(self):
         # frexp reads 2**54 - 1 as the float 2**54, one bit too long.
@@ -869,7 +855,7 @@ def block_rows(group, pairs) -> list:
     A, B = (np.zeros((len(pairs), group.n), bool) for _ in "AB")
     for p, (a_els, b_els) in enumerate(pairs):
         A[p, list(a_els)] = B[p, list(b_els)] = True
-    rows = iter(_pack_rows(_block_rows(group, A, B)))
+    rows = iter(_block_rows(group, A, B).tolist())
     out = [tuple(itertools.islice(rows, len(a_els))) for a_els, _ in pairs]
     assert next(rows, None) is None
     return out
@@ -877,7 +863,7 @@ def block_rows(group, pairs) -> list:
 
 def block_result(group, a_els, rows):
     """The engine's result on the rows of A over the whole group."""
-    return _graph_result(group, MatchabilityGraph(left=a_els, right=range(group.n), rows=rows))
+    return _graph_result(group, a_els, range(group.n), rows)
 
 
 class TestMaskInstancePath:
@@ -909,11 +895,12 @@ class TestMaskInstancePath:
             expected = engine_result(g, a_els, a_els)
             assert isinstance(expected, Matching)
             assert block_result(g, a_els, rows) == expected
-        # Every instance of the sweep's one block, on the same rows, has no
-        # record; the block's A is the sweep's, unpacked from its masks.
-        (block, A, rows), = _pair_graphs(g, pairs)
-        assert (block, rows) == (pairs, block_rows(g, pairs))
-        assert np.array_equal(A, _mask_rows(np.arange(2, 1 << g.n, 2), g.n))
+        # Every instance of the sweep's one block has a matching in the
+        # lanes and no record; the sweep's A, unpacked from its masks, are
+        # the pairs' A.
+        assert list(_pair_graphs(g, pairs)) == [(pairs, {})]
+        A = _mask_rows(np.arange(2, 1 << g.n, 2), g.n)
+        assert np.array_equal(A, _columns([a_els for a_els, _ in pairs], g.n).T)
         assert _automatching_block(g, A) == []
 
     @pytest.mark.parametrize("spec", [*CATALOG_SPECS, "S4", "C24", "D12"])
@@ -968,6 +955,41 @@ class TestMatchingProperty:
                  for b_els in itertools.combinations(range(1, 8), k)]
         assert len(pairs) == 6434 > PAIR_BLOCK
         assert _failing_pairs(g, pairs) == (6434, *reference_property_outcome(g, pairs))
+
+    @pytest.mark.parametrize("spec", ["C6", "S3", "C12"])
+    def test_pair_graphs_fail_exactly_the_unmatched_pairs(self, spec):
+        # The exhaustive pairs of C6 and S3, and 1,024 draws in C12: the
+        # lanes fail exactly the pairs that the search leaves unmatched,
+        # with the search's maximum matching.
+        g = parse_group_spec(spec)
+        if g.n <= PROPERTY_EXHAUSTIVE_CAP:
+            pairs = [(a_els, b_els) for k in range(1, g.n)
+                     for a_els in itertools.combinations(range(g.n), k)
+                     for b_els in itertools.combinations(range(1, g.n), k)]
+        else:
+            pairs = list(_sized_pairs(g.n, g.n - 1, PAIR_BLOCK, 0))
+        searched = {p: (rows, *_free_first_matching(rows, g.n))
+                    for p, rows in enumerate(block_rows(g, pairs))}
+        expected = {p: entry for p, entry in searched.items() if None in entry[1]}
+        assert list(_pair_graphs(g, pairs)) == [(pairs, expected)]
+        assert 0 < len(expected) < len(pairs)
+        assert _failing_pairs(g, pairs) == (len(pairs), *reference_property_outcome(g, pairs))
+
+    def test_rows_wider_than_a_word(self):
+        # Above order 64 a row is a Python int, and the lanes leave every
+        # graph to the search: at C67 in the check's sampled mode, and on
+        # draws in C66, where some pairs fail.
+        g = make_cyclic(67)
+        r = check_matching_property(g, samples=120, seed=2, order_cap=67)
+        out = r.flagged[-1]
+        assert out["mode"] == "sampled" and r.status == "pass"
+        assert ((out["pairs_failed"], out["counterexample"])
+                == reference_property_outcome(g, _sized_pairs(g.n, g.n - 1, 120, 2)))
+        g = make_cyclic(66)
+        pairs = list(_sized_pairs(g.n, g.n - 1, 120, 2))
+        tested, failed, minimal = _failing_pairs(g, pairs)
+        assert (tested, failed, minimal) == (120, *reference_property_outcome(g, pairs))
+        assert failed > 0
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     @pytest.mark.parametrize("spec", ["C11", "C13"])
@@ -1484,6 +1506,11 @@ class TestHallCrossValidation:
         for seed in (0, 1, 7):
             assert (sweep_hall(g, seed=seed).to_dict()
                     == reference_hall_report(g, DEFAULT_HALL_SAMPLES, seed))
+
+    def test_sweep_over_rows_wider_than_a_word(self):
+        # D40's rows over its 80 elements are Python ints, searched per pair.
+        g = make_dihedral(40)
+        assert sweep_hall(g, seed=4).to_dict() == reference_hall_report(g, DEFAULT_HALL_SAMPLES, 4)
 
     @pytest.mark.parametrize("spec", ["S3", "D4", "D5", "D6"])
     def test_engine_reads_the_table_not_mul(self, spec):
