@@ -126,10 +126,7 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as an int, column j at bit j.  Rows of
-    at most 64 columns are read as one little-endian word each."""
-    if bits.shape[1] <= 64:
-        return tuple(_pack_words(bits).tolist())
+    """Each row of a boolean matrix as an int, column j at bit j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     width = packed.shape[1]
     data = packed.tobytes()

@@ -114,11 +114,19 @@ def _columns(sets, n: int) -> np.ndarray:
     return out.T
 
 
-def _mask_rows(masks: np.ndarray, n: int) -> np.ndarray:
-    """Boolean (len(masks), n) matrix whose row p marks the set bits of the
-    int64 ``masks[p]``, bit x standing for element x."""
-    return np.unpackbits(np.asarray(masks, "<i8").view(np.uint8).reshape(-1, 8), axis=1,
-                         count=n, bitorder="little").view(bool)
+def _mask_rows(masks, n: int) -> np.ndarray:
+    """Boolean (len(masks), n) matrix whose row p marks the set bits of
+    ``masks[p]``, bit x standing for element x.  Below order 64 the masks
+    are read as int64 words, else as Python ints, each through its
+    little-endian bytes."""
+    if n < 64:
+        data = np.asarray(masks, "<i8").view(np.uint8).reshape(-1, 8)
+    else:
+        width = (n + 7) // 8
+        data = np.frombuffer(b"".join(map(int.to_bytes, masks, itertools.repeat(width),
+                                          itertools.repeat("little"))),
+                             np.uint8).reshape(-1, width)
+    return np.unpackbits(data, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _pair_columns(A: GroupSubset, B: GroupSubset, bound: str) -> tuple:
@@ -140,43 +148,21 @@ def _all_pairs(subsets: np.ndarray):
         yield subsets[:, i // m], subsets[:, i % m]
 
 
-def _uniform_masks(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """Boolean (n, count) matrix whose column p is the p-th of
-    ``[rng.randrange(1, 1 << n) for _ in range(count)]``, leaving ``rng`` in
-    the same state as that loop.
-
-    That randrange is 1 + getrandbits(n), redrawn while it is 2**n - 1, and
-    getrandbits(n) is w = ceil(n / 32) successive 32-bit Mersenne Twister
-    words, least significant first, the last shifted right to n bits.  So the
-    words of many draws are read in one getrandbits call; the rejected draws
-    are dropped, and only the deficit is drawn again, so the generator never
-    runs ahead of the loop."""
-    w = (n + 31) // 32
-    top = (1 << (n - 32 * (w - 1))) - 1  # the last word of 2**n - 1
-    kept = []
-    while count:
-        raw = rng.getrandbits(32 * w * count).to_bytes(4 * w * count, "little")
-        words = np.frombuffer(raw, "<u4").reshape(count, w).copy()
-        words[:, -1] >>= 32 * w - n
-        all_ones = (words[:, -1] == top) & (words[:, :-1] == 0xFFFFFFFF).all(axis=1)
-        kept.append(words[~all_ones])
-        count = int(np.count_nonzero(all_ones))
-    bits = np.unpackbits(np.concatenate(kept).view(np.uint8), axis=1, count=n,
-                         bitorder="little").view(bool)
-    # Add 1: clear the trailing run of ones and set the first zero after it.
-    ones = np.logical_and.accumulate(bits, axis=1)
-    bits ^= ones
-    bits[np.arange(len(bits)), ones.sum(axis=1)] = True
-    return bits.T
-
-
 def _sampled_pairs(n: int, samples: int, rng: random.Random):
     """(A, B) blocks of seeded pairs of nonempty subsets: the pair p of a
-    block is draws 2p and 2p + 1 of ``rng.randrange(1, 1 << n)``."""
+    block is draws 2p and 2p + 1 of ``rng.randrange(1, 1 << n)``.  That is
+    1 + getrandbits(n), redrawn while it is 2**n - 1; the redraws are made
+    after the block's other draws, which keeps the accepted draws, and the
+    generator's state, those of the loop."""
+    top = (1 << n) - 1
     for lo in range(0, samples, PAIR_BLOCK):
-        masks = _uniform_masks(rng, n, 2 * min(PAIR_BLOCK, samples - lo))
+        masks, count = [], 2 * min(PAIR_BLOCK, samples - lo)
+        while len(masks) < count:
+            masks += [r + 1 for r in map(rng.getrandbits, itertools.repeat(n, count - len(masks)))
+                      if r != top]
+        rows = _mask_rows(masks, n)
         # Copied to C order: the kernel reads whole rows, twice as fast there.
-        yield np.ascontiguousarray(masks[:, 0::2]), np.ascontiguousarray(masks[:, 1::2])
+        yield np.ascontiguousarray(rows[0::2].T), np.ascontiguousarray(rows[1::2].T)
 
 
 def _check_samples(samples: int) -> None:
@@ -795,9 +781,9 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
         raise SizeLimit("lattice instance size", max_size, DEFAULT_LATTICE_SIZE_CAP)
     if coordinate_bound < 0:
         raise ValueError(f"coordinate_bound must be at least 0, got {coordinate_bound}")
+    codes = _LatticeCodes(d, coordinate_bound)
     if (2 * coordinate_bound + 1) ** d <= max_size:
         raise ValueError("coordinate_bound too small for the requested subset size")
-    codes = _LatticeCodes(d, coordinate_bound)
     add, els = codes.mul, codes.json
     confirmed = 0
     for a_els, b_els in _lattice_pairs(d, trials, max_size, coordinate_bound, seed):

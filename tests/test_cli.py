@@ -378,8 +378,9 @@ class TestPinnedOutput:
          "in one process"),
         (("verify", "C4", "--checks", ","), 2, "ValueError", "--checks names no check: ','"),
         (("lattice", "-t", "-5"), 2, "ValueError", "trials must be at least 0, got -5"),
+        (("lattice", "-d", "0"), 2, "ValueError", "lattice dimension must be >= 1"),
     ], ids=["parse", "size-mismatch", "identity-in-b", "size-limit", "not-applicable",
-            "jobs", "empty-checks", "negative-trials"])
+            "jobs", "empty-checks", "negative-trials", "zero-dimension"])
     def test_error_output_is_pinned(self, capsys, argv, exit_code, error_type, message):
         code, out = run(capsys, *argv)
         assert (code, out) == (exit_code, f"error: {message}\n")

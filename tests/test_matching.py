@@ -159,7 +159,7 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("columns", [1, 64, 65, 200, 512])
     def test_pack_rows_reads_column_j_at_bit_j(self, columns):
-        # One word per row up to 64 columns, one from_bytes per row above.
+        # Widths from one byte up, on both sides of 64 columns.
         bits = np.random.default_rng(columns).random((9, columns)) < 0.5
         bits[0], bits[1] = False, True
         assert _pack_rows(bits) == tuple(sum(1 << j for j in np.flatnonzero(row).tolist())

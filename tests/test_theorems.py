@@ -155,15 +155,18 @@ def seeded_pairs(group, count, seed):
 
 
 class TestSampledPairs:
-    """The bulk sampler reads the same Mersenne Twister words as per-draw
-    ``randrange(1, 1 << n)`` calls, A then B, and leaves the generator in the
-    same state.  n <= 3 often draws 2**n - 1 and redraws; the counts around
-    PAIR_BLOCK cross a block edge; n = 31..33 and 64, 65 cross word edges."""
+    """The block sampler, which redraws a block's rejected draws after its
+    other draws, yields what per-draw ``randrange(1, 1 << n)`` calls draw, A
+    then B, and leaves the generator in the same state.  n <= 3 often draws
+    2**n - 1 and redraws; the counts around PAIR_BLOCK cross a block edge;
+    n = 63 and 64 sit on either side of ``_mask_rows``' switch from int64
+    words to bytes, and n = 31..33, 64, 65 and 100 cross getrandbits' word
+    edges."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 24, 31, 32, 33, 64, 65])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 14, 24, 31, 32, 33, 63, 64, 65, 100])
     def test_blocks_and_state_equal_per_draw_loop(self, n):
         for seed in (0, 7):
-            for samples in (1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2000):
+            for samples in (0, 1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2000):
                 bulk, loop = random.Random(seed), random.Random(seed)
                 got = list(_sampled_pairs(n, samples, bulk))
                 sizes = [min(PAIR_BLOCK, samples - lo) for lo in range(0, samples, PAIR_BLOCK)]
@@ -174,6 +177,14 @@ class TestSampledPairs:
                     assert np.array_equal(A, _columns(map(_bits, a_masks), n))
                     assert np.array_equal(B, _columns(map(_bits, b_masks), n))
                 assert bulk.getstate() == loop.getstate()
+
+    @pytest.mark.parametrize("n", [1, 7, 33, 63, 64, 65, 100, 128])
+    def test_mask_rows_mark_the_set_bits(self, n):
+        # int64 arrays below order 64, Python ints from order 64 up.
+        rng = random.Random(n)
+        masks = [rng.randrange(1, 1 << n) for _ in range(200)] + [1, (1 << n) - 1]
+        rows = _mask_rows(np.array(masks, np.int64) if n < 64 else masks, n)
+        assert np.array_equal(rows, _columns(map(_bits, masks), n).T)
 
 
 def per_draw_lattice_pairs(d, trials, max_size, bound, seed):
