@@ -315,10 +315,9 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     n = g.n * h.n
     if n > DEFAULT_ORDER_CAP:
         raise SizeLimit("direct product", n, DEFAULT_ORDER_CAP)
-    ga = g.array.astype(np.int64)
-    ha = h.array.astype(np.int64)
-    table = (np.repeat(np.repeat(ga, h.n, axis=0), h.n, axis=1) * h.n
-             + np.tile(ha, (g.n, g.n)))
+    dtype = np.min_scalar_type(n)       # holds |H| itself, which n - 1 may not
+    ga, ha = g.array.astype(dtype), h.array.astype(dtype)
+    table = (ga[:, None, :, None] * h.n + ha[None, :, None, :]).reshape(n, n)
     name = f"{g.name}x{h.name}" if g.name and h.name else None
     return GroupTable(table, name=name)
 

@@ -179,6 +179,6 @@ def parse_subset_literal(text: str, group) -> GroupSubset:
     tok, col = next(tokens)
     if tok:
         raise ParseError("trailing characters after subset literal", column=col)
-    if members and isinstance(members[0], int) and getattr(group, "d", None) == 1:
-        members = [(x,) for x in members]
+    if getattr(group, "d", None) == 1:
+        members = [(x,) if isinstance(x, int) else x for x in members]
     return GroupSubset(group, members)

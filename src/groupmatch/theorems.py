@@ -813,6 +813,15 @@ def check_lattice_matching(d: int, trials: int, *, max_size: int = 8,
 # Three-way cross-validation: engine, brute force, Hall inequalities
 
 
+# Per |A| = k up to HALL_MAX_SIZE, the steps that double over the nonempty
+# S inside A, ascending by mask (bit i for a_i): (S, S less its lowest bit,
+# that bit's index, |S|, k - |S|).  _HALL_BITS[j] marks b_j in a row over B.
+_HALL_STEPS = tuple(tuple((s, s & (s - 1), (s & -s).bit_length() - 1, s.bit_count(),
+                           k - s.bit_count()) for s in range(1, 1 << k))
+                    for k in range(HALL_MAX_SIZE + 1))
+_HALL_BITS = tuple(1 << j for j in range(HALL_MAX_SIZE))
+
+
 def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
     """Agreement of the engine, the bijection oracle, and Hall's condition.
 
@@ -827,80 +836,52 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
     if g.identity in B:
         raise IdentityInB("B contains the identity")
     engine = None not in _free_first_matching(build_graph(A, B).rows, len(B))[0]
-    (verdict, why), = _hall_block(g.mul, [(A.elements, B.elements)], [engine])
+    verdict, why = _hall_outcome(g.mul, A.elements, B.elements, engine)
     if why is not None:
         raise CrossValidationError(why)
     return verdict
 
 
-def _hall_forms(cand: np.ndarray, stay: np.ndarray) -> tuple:
-    """(union_ok, inter_ok) of Hall's two forms, boolean (P, 2**k - 1), for
-    P pairs with |A| = |B| = k; column mask - 1 is the S of the a_i with bit
-    i of mask set.  ``cand[p, i, j]`` says that a_i*b_j lies outside A_p,
-    and ``stay[p, i, j]``, read from products of its own, that it lies
-    inside: the union of the candidate sets of S holds the b_j that some
-    a_i in S reaches, and the stable set the b_j that every a_i in S keeps
-    in A."""
-    k = cand.shape[1]
-    member = (np.arange(1, 1 << k)[:, None] >> np.arange(k) & 1).astype(np.uint8)
-    size = member.sum(axis=1)
-    union = np.count_nonzero(member @ cand.view(np.uint8) > 0, axis=2)
-    stable = np.count_nonzero(member @ stay.view(np.uint8) == size[:, None], axis=2)
-    return union >= size, stable <= k - size
-
-
-def _hall_block(mul, block, engine) -> list:
-    """cross_validate_hall after its input checks, on a block of (a_els,
-    b_els) pairs of ascending elements, |A| = |B|, with the engine's verdict
-    on each pair, from the free-first search that decides ``find_matching``:
-    for each pair (the common verdict, None) or (None, why the routes
-    disagree).  The brute-force oracle runs per pair.  Then one flat pass of
-    ``mul`` over the block makes each pair's products in the order of a
-    per-pair loop: a then b ascending (a-major) for the union form, then
-    again, by calls of their own, b then a ascending (b-major) for the
-    complement form, so that a law of period 2 can make the forms disagree
-    at even |A|.  ``_hall_forms`` evaluates both forms over the pairs of
-    each size, and the S named when they disagree is the least mask."""
-    a_sets = [frozenset(a_els) for a_els, _ in block]
-    brute = [_brute_force(mul, a_els, a_set, b_els) is not None
-             for (a_els, b_els), a_set in zip(block, a_sets)]
-    sizes = np.array([len(a_els) for a_els, _ in block])
-    lefts, rights = [], []
-    for a_els, b_els in block:
-        k = len(a_els)
-        lefts += [a for a in a_els for _ in b_els]      # the union form, a-major
-        rights += b_els * k
-        lefts += a_els * k                              # the complement form, b-major
-        rights += [b for b in b_els for _ in a_els]
-    owners = [a_set for a_set, k in zip(a_sets, sizes.tolist()) for _ in range(2 * k * k)]
-    inside = np.fromiter(map(frozenset.__contains__, owners, map(mul, lefts, rights)), bool,
-                         len(lefts))
-    starts = np.cumsum(2 * sizes * sizes) - 2 * sizes * sizes
-    # Per pair: the least mask on which the forms disagree (0: none), the
-    # union form's verdict there, and Hall's verdict from the union form.
-    masks, union_at, hall = (np.zeros(len(block), t) for t in (int, bool, bool))
-    for k in sorted(set(sizes.tolist())):
-        pairs = np.flatnonzero(sizes == k)
-        cells = inside[starts[pairs, None] + np.arange(2 * k * k)].reshape(-1, 2, k, k)
-        union_ok, inter_ok = _hall_forms(~cells[:, 0], cells[:, 1].transpose(0, 2, 1))
-        disagree = union_ok != inter_ok
-        first = disagree.argmax(axis=1)
-        masks[pairs] = np.where(disagree.any(axis=1), first + 1, 0)
-        union_at[pairs] = union_ok[np.arange(len(pairs)), first]
-        hall[pairs] = union_ok.all(axis=1)
-    outcomes = []
-    for (a_els, _), engine_ok, brute_ok, mask, union, hall_ok in zip(
-            block, engine, brute, masks.tolist(), union_at.tolist(), hall.tolist()):
-        if mask:
-            s_els = [a_els[i] for i in _bits(mask)]
-            outcomes.append((None, f"Hall forms disagree on S = {s_els}: "
-                                   f"union {union}, complement {not union}"))
-        elif not (engine_ok == brute_ok == hall_ok):
-            outcomes.append((None, f"routes disagree: engine={engine_ok} brute={brute_ok} "
-                                   f"hall={hall_ok}"))
-        else:
-            outcomes.append((engine_ok, None))
-    return outcomes
+def _hall_outcome(mul, a_els, b_els, engine_ok: bool) -> tuple:
+    """cross_validate_hall after its input checks, on ascending a_els and
+    b_els, |A| = |B|, with the engine's verdict from the free-first search
+    that decides ``find_matching``: (the common verdict, None) or (None, why
+    the routes disagree).  The brute-force oracle calls ``mul`` first.  Then
+    ``reach[i]`` marks the b that a_i sends outside A, from products a then
+    b ascending (a-major), and ``keep[i]`` the b that a_i keeps inside A,
+    from products of its own, b then a ascending (b-major), so that a law of
+    period 2 can make the forms disagree at even |A|.  The union of the
+    candidate sets of S and its stable set double over S's lowest bit; the
+    S named when the forms disagree is the least mask."""
+    a_set, k = frozenset(a_els), len(a_els)
+    brute_ok = _brute_force(mul, a_els, a_set, b_els) is not None
+    reach = []
+    for a in a_els:
+        row = 0
+        for b, bit in zip(b_els, _HALL_BITS):
+            if mul(a, b) not in a_set:
+                row |= bit
+        reach.append(row)
+    keep = [0] * k
+    for b, bit in zip(b_els, _HALL_BITS):
+        for i, a in enumerate(a_els):
+            if mul(a, b) in a_set:
+                keep[i] |= bit
+    union, stable = [0] * (1 << k), [(1 << k) - 1] * (1 << k)
+    hall_ok = True
+    for s, rest, i, size, co_size in _HALL_STEPS[k]:
+        union[s] = reached = union[rest] | reach[i]
+        stable[s] = kept = stable[rest] & keep[i]
+        union_ok = reached.bit_count() >= size
+        if union_ok != (kept.bit_count() <= co_size):
+            s_els = [a_els[j] for j in _bits(s)]
+            return None, (f"Hall forms disagree on S = {s_els}: "
+                          f"union {union_ok}, complement {not union_ok}")
+        if not union_ok:
+            hall_ok = False
+    if not (engine_ok == brute_ok == hall_ok):
+        return None, f"routes disagree: engine={engine_ok} brute={brute_ok} hall={hall_ok}"
+    return engine_ok, None
 
 
 def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
@@ -915,8 +896,8 @@ def sweep_hall(group: GroupTable, *, samples: int = DEFAULT_HALL_SAMPLES,
     draws = (group.n, min(HALL_MAX_SIZE, group.n - 1), samples, seed)
     outcomes = dict.fromkeys(_sized_pairs(*draws))
     for block, failed in _pair_graphs(group, outcomes):
-        engine = [p not in failed for p in range(len(block))]
-        for (a_els, b_els), (_, why) in zip(block, _hall_block(group.mul, block, engine)):
+        for p, (a_els, b_els) in enumerate(block):
+            why = _hall_outcome(group.mul, a_els, b_els, p not in failed)[1]
             if why is not None:
                 outcomes[a_els, b_els] = {"kind": "cross-validation-disagreement",
                                           "A": _els(a_els), "B": _els(b_els), "why": why}

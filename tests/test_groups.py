@@ -204,6 +204,15 @@ class TestFamilies:
             rot, ref = (idx[:, None] + idx) % m, (idx[:, None] - idx) % m
             assert np.array_equal(make_dihedral(m).array,
                                   np.block([[rot, rot + m], [ref + m, ref]])), m
+        # direct_product works in the dtype of n itself, which holds |H| even
+        # when a trivial factor makes |H| = n, one past the dtype of n - 1.
+        for g, h in ((1, 255), (3, 85), (1, 256), (256, 1), (2, 128), (16, 16), (1, 257),
+                     (257, 1), (2, 2)):
+            ga, ha = make_cyclic(g).array.astype(np.int64), make_cyclic(h).array.astype(np.int64)
+            expected = np.repeat(np.repeat(ga, h, axis=0), h, axis=1) * h + np.tile(ha, (g, g))
+            got = direct_product(make_cyclic(g), make_cyclic(h)).array
+            assert got.dtype == np.min_scalar_type(g * h - 1), (g, h)
+            assert np.array_equal(got, expected), (g, h)
 
     def test_symmetric(self):
         assert make_symmetric(3).n == 6

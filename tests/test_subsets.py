@@ -239,6 +239,13 @@ class TestSubsetLiterals:
         assert got.elements == ((0, 0), (1, 2))
         z1 = LatticeGroup(1)
         assert parse_subset_literal("{-3,1}", z1).elements == ((-3,), (1,))
+        # On Z^1 a bare integer may sit beside 1-tuples, on either side.
+        assert parse_subset_literal("{1,(2)}", z1).elements == ((1,), (2,))
+        assert parse_subset_literal("{(1),2}", z1).elements == ((1,), (2,))
+        with pytest.raises(ValueError, match=r"^not a 1-dimensional lattice point: \(1, 2\)$"):
+            parse_subset_literal("{(1,2),3}", z1)
+        with pytest.raises(ValueError, match="^not a 2-dimensional lattice point: 1$"):
+            parse_subset_literal("{1}", z2)
 
     def test_syntax_errors_carry_column(self):
         for group in (make_cyclic(6), LatticeGroup(2)):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 import re
@@ -1500,6 +1501,27 @@ class TestHallCrossValidation:
                 except CrossValidationError as error:
                     seen[re.match(r"Hall forms disagree|routes disagree", str(error))[0]] += 1
         assert seen == outcomes
+
+    def test_alternating_law_on_every_subset_at_the_size_bound(self):
+        # Every pair of C7 with |A| = HALL_MAX_SIZE, each on a fresh law: the
+        # forms can first disagree on any of the 31 subsets S.  The messages
+        # name S and both forms' verdicts there, so their digest pins the
+        # first disagreeing mask, the mask order and the call order.
+        assert HALL_MAX_SIZE == 5
+        table = make_cyclic(7).table
+        seen, messages = collections.Counter(), []
+        for a_els in itertools.combinations(range(7), 5):
+            for b_els in itertools.combinations(range(1, 7), 5):
+                g = AlternatingLaw(table)
+                try:
+                    cross_validate_hall(subset(g, a_els), subset(g, b_els))
+                    seen["agree"] += 1
+                except CrossValidationError as error:
+                    seen[re.match(r"Hall forms disagree|routes disagree", str(error))[0]] += 1
+                    messages.append(str(error))
+        assert seen == {"agree": 6, "Hall forms disagree": 60, "routes disagree": 60}
+        assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
+            "64899961af3403c9cbf622ef77fd697e1119d84c0d1d0b5f79447d709b72d8ec")
 
     def test_sweep_records_disagreeing_forms(self):
         r = sweep_hall(AlternatingLaw(make_cyclic(5).table), samples=60)
