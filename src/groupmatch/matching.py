@@ -128,9 +128,7 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
 def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as an int, column j at bit j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    rows = [data[i:i + width] for i in range(0, len(data), width)]
+    rows = packed.view(f"V{packed.shape[1]}").ravel().tolist()
     return tuple(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
@@ -205,10 +203,11 @@ def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
     return MatchabilityGraph(left=A.elements, right=B.elements, rows=rows)
 
 
-def _free_first_matching(rows: tuple, m: int) -> tuple[list, list]:
+def _free_first_matching(rows, m: int) -> tuple[list, list, int]:
     """A maximum matching of the rows of a graph over m right vertices (see
     MatchabilityGraph), by augmenting paths from each left vertex in
-    ascending order.
+    ascending order, and the right vertices that its free left vertices
+    reach by alternating paths, as (match_left, match_right, reach).
 
     A left vertex with a free candidate takes the lowest one at once, at any
     depth of the search.  Otherwise the depth-first search steps to the
@@ -216,23 +215,53 @@ def _free_first_matching(rows: tuple, m: int) -> tuple[list, list]:
     ``rows[u] & unvisited``, whose bit it reads from a tuple cached per
     width m, and goes on from that vertex's partner.  The search keeps its
     own stack, so path length is not bounded by the recursion limit.  No
-    free vertex is ever marked visited, so a failed search leaves only
-    matched vertices marked, whose partners reach no free vertex, and the
-    marks carry over: across a length-1 augmentation, which rematches no
-    marked vertex, and until a longer one, which resets them.  A root that
+    free vertex is ever marked visited, so a failed search marks only
+    matched vertices, whose partners reach no free vertex.  A root that
     fails has no augmenting path and never gets one later (Kuhn's lemma),
     so the matching is maximum; with the order fixed, it is deterministic.
+
+    Marks come only from depth-first steps: a direct take marks nothing,
+    and a search that ends in a longer path resets them.  So at each
+    failure the marks are the trees of the roots that failed since the last
+    reset, and ``reach`` ORs them in.  A vertex of a failed root's tree
+    never lies on a later augmenting path, which would give that root one
+    too, so the tree's matched edges stay fixed and it stays reachable from
+    its still-free root.  A failure ends only once every candidate of every
+    left vertex in its tree is marked, so the OR over all failures is
+    exactly the set of right vertices that the free left vertices reach in
+    the final matching: N(S) of the Dulmage-Mendelsohn violator.
     """
     bit = _right_bits(m)
     match_left: list[int | None] = [None] * len(rows)
     match_right: list[int | None] = [None] * m
     all_right = unvisited = free = (1 << m) - 1
+    reach = 0
     for root in range(len(rows)):
+        direct = rows[root] & free
+        if direct:
+            v = m - direct.bit_length()
+            free ^= bit[v]
+            match_left[root], match_right[v] = v, root
+            continue
         # lefts[k + 1] is the partner of the right vertex taken from lefts[k];
-        # u is the last of them.
-        lefts = [root]
-        u = root
+        # u is the last of them, and has no free candidate, so every one
+        # still unvisited is matched.
+        lefts, u = [root], root
         while True:
+            avail = rows[u] & unvisited
+            while not avail:
+                lefts.pop()
+                if not lefts:
+                    break
+                u = lefts[-1]
+                avail = rows[u] & unvisited
+            if not avail:
+                reach |= all_right ^ unvisited
+                break
+            v = m - avail.bit_length()
+            unvisited ^= bit[v]
+            u = match_right[v]
+            lefts.append(u)
             direct = rows[u] & free
             if direct:
                 v = m - direct.bit_length()
@@ -242,24 +271,9 @@ def _free_first_matching(rows: tuple, m: int) -> tuple[list, list]:
                 for u in reversed(lefts):
                     match_right[v] = u
                     match_left[u], v = v, match_left[u]
-                if len(lefts) > 1:
-                    unvisited = all_right
+                unvisited = all_right
                 break
-            # u has no free candidate, so every one still unvisited is matched.
-            avail = rows[u] & unvisited
-            while not avail:
-                lefts.pop()
-                if not lefts:
-                    break
-                u = lefts[-1]
-                avail = rows[u] & unvisited
-            if not avail:
-                break
-            v = m - avail.bit_length()
-            unvisited ^= bit[v]
-            u = match_right[v]
-            lefts.append(u)
-    return match_left, match_right
+    return match_left, match_right, reach
 
 
 def _bit_length(words: np.ndarray) -> np.ndarray:
@@ -278,8 +292,8 @@ def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
     ``words``, graph by graph, uint64 when m <= 64.  Returns (match, failed):
     ``match[i]`` is the right vertex that row i is matched to, and
     ``failed`` maps each graph the search leaves with an unmatched row to
-    (rows, match_left, match_right), its match entries unset.  Rows wider
-    than a word are Python ints, and every graph of theirs is searched.
+    the search's (match_left, match_right, reach), its match entries unset.
+    Rows wider than a word are Python ints, and every graph is searched.
 
     Every graph runs the search in numpy lanes, root k of every graph at
     once, k ascending.  The root takes its lowest free candidate, the
@@ -331,10 +345,9 @@ def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
     if stalled.any():
         rows, starts, ends = words.tolist(), starts.tolist(), ends.tolist()
         for p in np.flatnonzero(stalled).tolist():
-            graph = tuple(rows[starts[p]:ends[p]])
-            match_left, match_right = _free_first_matching(graph, m)
+            match_left, match_right, reach = _free_first_matching(rows[starts[p]:ends[p]], m)
             if None in match_left:
-                failed[p] = graph, match_left, match_right
+                failed[p] = match_left, match_right, reach
             else:
                 at += range(starts[p], ends[p])
                 found += match_left
@@ -342,29 +355,16 @@ def _free_first_block(words: np.ndarray, sizes: np.ndarray, m: int) -> tuple:
     return match, failed
 
 
-def _extract_violator(group, left, right, rows, match_left, match_right) -> HallViolator:
-    # The graph from left to right with these rows (see MatchabilityGraph),
-    # and a maximum matching of it.
-    # Alternating BFS from every unmatched left vertex; the reachable left
-    # vertices form a Hall violator once the matching is maximum.  Each row
-    # contributes the positions not reached before it, ascending, that is
-    # from its highest bit down; each right vertex is reached once, so each
-    # matched partner is queued once.  Sorted positions give the elements of
-    # the graph's checked, ascending sides in order, so nothing is rechecked.
-    m = len(right)
-    reach_left = [u for u, v in enumerate(match_left) if v is None]
-    reach_right: list[int] = []
-    reached = 0
-    for u in reach_left:
-        new = rows[u] & ~reached
-        reached |= new
-        for v in _positions(new, m):
-            reach_right.append(v)
-            w = match_right[v]
-            if w is not None:
-                reach_left.append(w)
-    subset = GroupSubset._ascending(group, [left[u] for u in sorted(reach_left)])
-    neighborhood = GroupSubset._ascending(group, [right[v] for v in sorted(reach_right)])
+def _extract_violator(group, left, right, match_left, match_right, reach) -> HallViolator:
+    """The Hall violator of a graph from ``left`` to ``right`` (see
+    MatchabilityGraph), from ``_free_first_matching``'s output: S is the
+    free left vertices and the partners of the reached right vertices, and
+    N(S) those vertices, read in order from the checked, ascending sides."""
+    reached = _positions(reach, len(right))
+    lefts = sorted([u for u, v in enumerate(match_left) if v is None]
+                   + [match_right[v] for v in reached])
+    subset = GroupSubset._ascending(group, [left[u] for u in lefts])
+    neighborhood = GroupSubset._ascending(group, [right[v] for v in reached])
     return HallViolator(subset=subset, neighborhood=neighborhood,
                         deficiency=len(subset) - len(neighborhood))
 
@@ -388,9 +388,9 @@ def find_matching(A: GroupSubset, B: GroupSubset):
     than certificates: |A| != |B| raises SizeMismatch and an identity in B
     raises IdentityInB.  One search, ``_free_first_matching``, decides
     existence and builds the result: a returned Matching is its perfect
-    matching, found in a fixed order, and a returned HallViolator is the
-    same for every maximum matching (Dulmage-Mendelsohn), so output is
-    deterministic.
+    matching, found in a fixed order, and a returned HallViolator is read
+    from the marks of its failed roots, the same for every maximum matching
+    (Dulmage-Mendelsohn), so output is deterministic.
     """
     g = _equal_pair_group(A, B)
     if g.identity in B:
@@ -405,13 +405,13 @@ def _graph_result(group, left, right, rows):
     the rows of a graph (see MatchabilityGraph) from ``left`` to ``right``.
 
     The free-first search decides which.  A perfect matching it finds is
-    the one returned.  Otherwise the left vertices its maximum matching
-    leaves free reach, by alternating paths, the same Hall violator as from
-    any other maximum matching (the Dulmage-Mendelsohn decomposition).
+    the one returned.  Otherwise its failed roots' marks give, with no
+    second search, the same Hall violator as any other maximum matching
+    (the Dulmage-Mendelsohn decomposition).
     """
-    match_left, match_right = _free_first_matching(rows, len(right))
+    match_left, match_right, reach = _free_first_matching(rows, len(right))
     if None in match_left:
-        return _extract_violator(group, left, right, rows, match_left, match_right)
+        return _extract_violator(group, left, right, match_left, match_right, reach)
     return Matching(pairs=tuple(zip(left, map(right.__getitem__, match_left))))
 
 

@@ -213,7 +213,7 @@ def _pair_graphs(group: GroupTable, pairs):
     element sequences, each decided by ``_free_first_block`` on its graph
     rows over the whole group (see ``_block_rows``), as (pairs, failed):
     ``failed`` maps the index of each pair without a matching to the
-    search's (rows, match_left, match_right)."""
+    search's (match_left, match_right, reach)."""
     n, pairs = group.n, iter(pairs)
     while block := list(itertools.islice(pairs, PAIR_BLOCK)):
         a_side, b_side = zip(*block)

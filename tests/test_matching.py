@@ -157,10 +157,15 @@ class TestBuildGraph:
         with pytest.raises(EmptyInput):
             build_graph(GroupSubset(c4), GroupSubset(c4, [1]))
 
-    @pytest.mark.parametrize("columns", [1, 64, 65, 200, 512])
+    @pytest.mark.parametrize("columns", [1, 7, 8, 9, 64, 65, 200, 512,
+                                         pytest.param((507, 512), id="507-of-512")])
     def test_pack_rows_reads_column_j_at_bit_j(self, columns):
-        # Widths from one byte up, on both sides of 64 columns.
-        bits = np.random.default_rng(columns).random((9, columns)) < 0.5
+        # Widths from one byte up, on both sides of a byte edge and of 64
+        # columns.  507 of 512 drawn columns are a non-contiguous slice, as
+        # the complement route passes bits[:, :m].
+        m, drawn = columns if isinstance(columns, tuple) else (columns, columns)
+        bits = (np.random.default_rng(drawn).random((9, drawn)) < 0.5)[:, :m]
+        assert bits.flags.c_contiguous == (m == drawn)
         bits[0], bits[1] = False, True
         assert _pack_rows(bits) == tuple(sum(1 << j for j in np.flatnonzero(row).tolist())
                                          for row in bits)
@@ -395,6 +400,40 @@ def _reference_free_first(rows, m):
     return match_left, match_right
 
 
+def _reference_violator(group, left, right, rows, match_left, match_right):
+    """The Hall violator of a graph from a maximum matching, by alternating
+    BFS from every unmatched left vertex: the reached left vertices are S
+    and the reached right vertices N(S)."""
+    m = len(right)
+    reach_left = [u for u, v in enumerate(match_left) if v is None]
+    reach_right, reached = [], 0
+    for u in reach_left:
+        new = rows[u] & ~reached
+        reached |= new
+        for v in matching._positions(new, m):
+            reach_right.append(v)
+            if match_right[v] is not None:
+                reach_left.append(match_right[v])
+    subset = GroupSubset(group, [left[u] for u in reach_left])
+    neighborhood = GroupSubset(group, [right[v] for v in reach_right])
+    return HallViolator(subset=subset, neighborhood=neighborhood,
+                        deficiency=len(subset) - len(neighborhood))
+
+
+def _fails_before_reset(rows, m) -> bool:
+    """Whether some root of the free-first search fails before a later root
+    augments along a path longer than 1, which rematches an earlier root
+    and resets the search's marks."""
+    failed, before = False, []
+    for r in range(len(rows)):
+        match_left = _free_first_matching(rows[:r + 1], m)[0]
+        if failed and match_left[:r] != before:
+            return True
+        failed = failed or match_left[r] is None
+        before = match_left
+    return False
+
+
 def _is_matching(rows, m, match_left, match_right):
     """Each matched left vertex takes a candidate of its row, and the two
     sides of the matching mirror each other."""
@@ -410,21 +449,23 @@ class TestFreeFirstSearch:
 
     def _check_graph(self, group, graph) -> tuple:
         m = len(graph.right)
-        free_first = _free_first_matching(graph.rows, m)
+        match_left, match_right, reach = _free_first_matching(graph.rows, m)
+        free_first = match_left, match_right
         kuhn = _reference_kuhn(graph)
         assert _is_matching(graph.rows, m, *free_first)
         assert free_first == _reference_free_first(graph.rows, m)
         assert free_first[0].count(None) == kuhn[0].count(None)
         perfect = None not in kuhn[0]
-        if not perfect:
-            sides = graph.left, graph.right, graph.rows
-            assert (_extract_violator(group, *sides, *free_first)
-                    == _extract_violator(group, *sides, *kuhn))
+        if perfect:
+            assert reach == 0
+        else:
+            assert (_extract_violator(group, graph.left, graph.right, *free_first, reach)
+                    == _reference_violator(group, graph.left, graph.right, graph.rows, *kuhn))
         return perfect, free_first != kuhn
 
     def test_random_row_sets(self):
         group, rng = make_cyclic(12), random.Random("free-first")
-        outcomes, differ = set(), 0
+        outcomes, differ, reset = set(), 0, 0
         for _ in range(2400):
             k = rng.randint(1, 12)
             m = rng.randint(k, 12)
@@ -435,8 +476,11 @@ class TestFreeFirstSearch:
             perfect, other = self._check_graph(group, graph)
             outcomes.add(perfect)
             differ += other
+            reset += _fails_before_reset(rows, m)
         assert outcomes == {True, False}
         assert differ >= 100
+        # The reach keeps the marks of the roots that failed before a reset.
+        assert reset >= 100
 
     @pytest.mark.parametrize("group", [make_dihedral(32), make_cyclic(64)], ids=["d32", "c64"])
     def test_seeded_pairs(self, group):
@@ -453,9 +497,15 @@ class TestFreeFirstSearch:
         # 4 visited, to reach root 3's free 4 over root 4's 2.
         candidates = [{0}, {0}, {1, 3}, {2, 4}, {0, 1, 2}, {1}]
         rows = tuple(sum(1 << (4 - v) for v in row) for row in candidates)
-        match_left, match_right = _free_first_matching(rows, 5)
+        match_left, match_right, reach = _free_first_matching(rows, 5)
         assert match_left == [0, None, 3, 4, 2, 1]
         assert match_right == [0, 5, 4, 2, 3]
+        # Root 1's mark, which root 4's augmentation reset, stays in the
+        # reach: S = {0, 1} and N(S) = {0}.
+        assert _fails_before_reset(rows, 5) and reach == 0b10000
+        violator = _extract_violator(make_cyclic(6), range(6), range(5), match_left,
+                                     match_right, reach)
+        assert (violator.subset.elements, violator.neighborhood.elements) == ((0, 1), (0,))
 
 
 class TestVerifyMatching:

@@ -728,7 +728,7 @@ class TestFreeFirstBlock:
         calls = []
 
         def counted(rows, m):
-            calls.append(rows)
+            calls.append(tuple(rows))
             return _free_first_matching(rows, m)
 
         monkeypatch.setattr(matching, "_free_first_matching", counted)
@@ -753,10 +753,9 @@ class TestFreeFirstBlock:
     def assert_block_equals_search(words, sizes, m, match, failed):
         rows, start = words.tolist(), 0
         for p, size in enumerate(sizes.tolist()):
-            graph = tuple(rows[start:start + size])
-            match_left, match_right = _free_first_matching(graph, m)
+            match_left, match_right, reach = _free_first_matching(rows[start:start + size], m)
             if None in match_left:
-                assert failed[p] == (graph, match_left, match_right)
+                assert failed[p] == (match_left, match_right, reach)
             else:
                 assert p not in failed and match[start:start + size].tolist() == match_left
             start += size
@@ -972,7 +971,7 @@ class TestMatchingProperty:
     def test_pair_graphs_fail_exactly_the_unmatched_pairs(self, spec):
         # The exhaustive pairs of C6 and S3, and 1,024 draws in C12: the
         # lanes fail exactly the pairs that the search leaves unmatched,
-        # with the search's maximum matching.
+        # with the search's maximum matching and reach.
         g = parse_group_spec(spec)
         if g.n <= PROPERTY_EXHAUSTIVE_CAP:
             pairs = [(a_els, b_els) for k in range(1, g.n)
@@ -980,9 +979,9 @@ class TestMatchingProperty:
                      for b_els in itertools.combinations(range(1, g.n), k)]
         else:
             pairs = list(_sized_pairs(g.n, g.n - 1, PAIR_BLOCK, 0))
-        searched = {p: (rows, *_free_first_matching(rows, g.n))
+        searched = {p: _free_first_matching(rows, g.n)
                     for p, rows in enumerate(block_rows(g, pairs))}
-        expected = {p: entry for p, entry in searched.items() if None in entry[1]}
+        expected = {p: entry for p, entry in searched.items() if None in entry[0]}
         assert list(_pair_graphs(g, pairs)) == [(pairs, expected)]
         assert 0 < len(expected) < len(pairs)
         assert _failing_pairs(g, pairs) == (len(pairs), *reference_property_outcome(g, pairs))
