@@ -18,7 +18,7 @@ from .groups import GroupTable
 from .subsets import GroupSubset, _same_group
 
 BRUTE_FORCE_CAP = 7
-# _table_rows' take casts its indices to intp; 64 rows at a time bound that
+# _table_block's take casts its indices to intp; 64 rows at a time bound that
 # copy at 64 * n * 8 bytes (256 KB at n = 512), not k * n * 8 for the block.
 _TAKE_ROWS = 64
 
@@ -40,13 +40,9 @@ def _right_bits(m: int) -> tuple[int, ...]:
 
 
 def _positions(row: int, m: int) -> list:
-    """The right positions of a row over m vertices, ascending."""
-    out = []
-    while row:
-        p = row.bit_length()
-        out.append(m - p)
-        row ^= 1 << (p - 1)
-    return out
+    """The right positions of a row over m vertices, ascending, by one unpack."""
+    bits = np.unpackbits(np.frombuffer(row.to_bytes(-(-m // 8), "big"), np.uint8))
+    return bits[len(bits) - m:].nonzero()[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -132,40 +128,57 @@ def _pack_rows(bits: np.ndarray) -> tuple[int, ...]:
     return tuple(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
-def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
-    # Each row is packed little-endian, so that bit m - 1 - j is B.elements[j].
-    group, k, m = A.group, len(A), len(B)
-    outside = np.ones(group.n, dtype=bool)
-    outside[list(A.elements)] = False
-    if 4 * (group.n - k) <= k:
-        # a*b lies outside A iff b = a⁻¹y for some y outside A, so only the
-        # k * (n - k) quotients a⁻¹y are gathered.  Each goes to its column
-        # in the reversed B, or to a sentinel column m when it is off B, and
-        # one fancy-index store (2.6x faster than ndarray.put) sets them all
-        # in a k x (m + 1) block, whose zeroing alone grows as k * m.  On a
-        # 2-CPU Xeon (numpy 2.4.6) the two routes cross near k = 2.4(n - k)
-        # at n = 512, k = 3(n - k) at n = 2048 and k = 3.5(n - k) at
-        # n = 128, so this one starts at k = 4(n - k): at n = 512 it takes
-        # 0.74x the lookup's time at k = 410 and 0.33x at k = 507, and would
-        # take 1.05x at k = 352.
-        column = np.full(group.n, m, dtype=np.intp)
-        column[list(B.elements)] = np.arange(m - 1, -1, -1)
+def _table_block(A: GroupSubset, B: GroupSubset) -> tuple:
+    """(block, right) from a Cayley table: block[i, j] says that a_i * x is
+    outside A, for a_i ascending and x = right[-1 - j], so that _pack_rows
+    puts right[j] at bit len(right) - 1 - j.  The quotients through the
+    complement of A are elements, so that route spans range(n); the lookup
+    spans B."""
+    group, k, n = A.group, len(A), A.group.n
+    a = np.array(A.elements, dtype=np.intp)
+    outside = np.ones(n, dtype=bool)
+    outside[a] = False
+    if 4 * (n - k) <= k:
+        # a*x lies outside A iff x = a⁻¹y for some y outside A, so only the
+        # k * (n - k) quotients a⁻¹y are gathered, and one flat fancy-index
+        # store (4x faster than ndarray.put) sets them all in the block.
+        # The README gives the measurements behind the switch at 4(n - k).
         quotients = group.array.take(np.flatnonzero(outside), axis=1).take(
-            group.inverses.take(A.elements), axis=0)
-        flat = column.take(quotients)
-        flat += np.arange(0, k * (m + 1), m + 1)[:, None]
-        bits = np.zeros((k, m + 1), dtype=bool)
-        bits.reshape(-1)[flat] = True
-        return _pack_rows(bits[:, :m])
-    # The products gathered from the Cayley table, A's rows first and then
-    # B's columns reversed (faster than one np.ix_ gather), looked up in
-    # ``outside`` by take, 2-3x faster than a fancy index on uint16 (mode
-    # "clip" never clips here, and writes straight into bits).
-    products = group.array.take(A.elements, axis=0).take(B.elements[::-1], axis=1)
+            group.inverses.take(a), axis=0)
+        bits = np.zeros((k, n), dtype=bool)
+        bits.reshape(-1)[np.arange(n - 1, k * n, n)[:, None] - quotients] = True
+        return bits, range(n)
+    # The products gathered from the table, A's rows and then B's columns
+    # reversed, each looked up in ``outside`` by take, 2-3x faster than a
+    # fancy index on uint16 (mode "clip" never clips here, and writes into bits).
+    products = group.array.take(a, axis=0).take(B.elements[::-1], axis=1)
     bits = np.empty(products.shape, dtype=bool)
-    for i in range(0, len(products), _TAKE_ROWS):
+    for i in range(0, k, _TAKE_ROWS):
         outside.take(products[i:i + _TAKE_ROWS], out=bits[i:i + _TAKE_ROWS], mode="clip")
+    return bits, B.elements
+
+
+def _table_rows(A: GroupSubset, B: GroupSubset) -> tuple[int, ...]:
+    """The graph rows of A over B's positions (see MatchabilityGraph)."""
+    bits, right = _table_block(A, B)
+    if isinstance(right, range):
+        bits = bits.take(A.group.n - 1 - np.array(B.elements[::-1]), axis=1)
     return _pack_rows(bits)
+
+
+def _search_rows(A: GroupSubset, B: GroupSubset) -> tuple:
+    """(right, rows): the graph rows of A that ``find_matching`` searches,
+    ``_python_rows`` without a Cayley table, else over ``_table_block``'s
+    right side, where over the whole group element x is bit n - 1 - x and
+    the elements outside B are unset."""
+    if not isinstance(A.group, GroupTable):
+        return B.elements, _python_rows(A.group.mul, A.elements, A.members, B.elements)
+    bits, right = _table_block(A, B)
+    if isinstance(right, range):
+        in_b = np.zeros(A.group.n, dtype=bool)
+        in_b[A.group.n - 1 - np.array(B.elements, dtype=np.intp)] = True
+        bits &= in_b
+    return right, _pack_rows(bits)
 
 
 def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -191,8 +204,8 @@ def _block_rows(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def build_graph(A: GroupSubset, B: GroupSubset) -> MatchabilityGraph:
-    """The matchability graph; row i is the candidate set of left[i],
-    gathered from the Cayley table when the group has one."""
+    """The matchability graph; row i is the candidate set of left[i] over
+    B's positions, gathered from the Cayley table when the group has one."""
     g = _same_group(A, B)
     if len(A) == 0 or len(B) == 0:
         raise EmptyInput("A and B must be nonempty")
@@ -390,19 +403,20 @@ def find_matching(A: GroupSubset, B: GroupSubset):
     existence and builds the result: a returned Matching is its perfect
     matching, found in a fixed order, and a returned HallViolator is read
     from the marks of its failed roots, the same for every maximum matching
-    (Dulmage-Mendelsohn), so output is deterministic.
+    (Dulmage-Mendelsohn), so output is deterministic.  Over the whole group
+    (``_search_rows``) it returns elements, in the same steps as over B.
     """
     g = _equal_pair_group(A, B)
     if g.identity in B:
         raise IdentityInB("B contains the identity, so no matching can exist")
 
-    graph = build_graph(A, B)
-    return _graph_result(g, graph.left, graph.right, graph.rows)
+    return _graph_result(g, A.elements, *_search_rows(A, B))
 
 
 def _graph_result(group, left, right, rows):
     """A Matching of every left vertex, or a HallViolator in ``group``, on
-    the rows of a graph (see MatchabilityGraph) from ``left`` to ``right``.
+    the rows of a graph (see MatchabilityGraph) from ``left`` to ``right``,
+    a tuple, or range(n) when the rows span the whole group.
 
     The free-first search decides which.  A perfect matching it finds is
     the one returned.  Otherwise its failed roots' marks give, with no
@@ -412,7 +426,8 @@ def _graph_result(group, left, right, rows):
     match_left, match_right, reach = _free_first_matching(rows, len(right))
     if None in match_left:
         return _extract_violator(group, left, right, match_left, match_right, reach)
-    return Matching(pairs=tuple(zip(left, map(right.__getitem__, match_left))))
+    images = match_left if isinstance(right, range) else map(right.__getitem__, match_left)
+    return Matching(pairs=tuple(zip(left, images)))
 
 
 def _matching_fault(group, a_set, b_set, pairs: tuple) -> str | None:

@@ -27,8 +27,8 @@ from .groups import (DEFAULT_SUBGROUP_CAP, GroupTable, LatticeGroup, classify, c
                      enumerate_subgroups)
 from .matching import (BRUTE_FORCE_CAP, HallViolator, Matching, _bits, _block_rows,
                        _brute_force, _equal_pair_group, _extract_violator, _free_first_block,
-                       _free_first_matching, _graph_result, _matching_fault, _python_rows,
-                       brute_force_matching, build_graph, find_matching)
+                       _graph_result, _matching_fault, _python_rows, brute_force_matching,
+                       find_matching)
 from .reports import elements_json as _els, violator_json
 from .subsets import GroupSubset, _same_group, product_set
 
@@ -835,7 +835,7 @@ def cross_validate_hall(A: GroupSubset, B: GroupSubset) -> bool:
         raise SizeLimit("Hall cross-validation", len(A), HALL_MAX_SIZE)
     if g.identity in B:
         raise IdentityInB("B contains the identity")
-    engine = None not in _free_first_matching(build_graph(A, B).rows, len(B))[0]
+    engine = isinstance(find_matching(A, B), Matching)
     verdict, why = _hall_outcome(g.mul, A.elements, B.elements, engine)
     if why is not None:
         raise CrossValidationError(why)

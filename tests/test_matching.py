@@ -100,8 +100,9 @@ class TestBuildGraph:
         assert sum(len(r) for r in g.adjacency) == sum(r.bit_count() for r in g.rows)
 
     @pytest.mark.parametrize("group", [make_quaternion(), make_dihedral(32), make_cyclic(64),
-                                       make_dihedral(256), make_cyclic(512)],
-                             ids=["q8", "d32", "c64", "d256", "c512"])
+                                       make_dihedral(256), make_cyclic(512), make_cyclic(97),
+                                       make_dihedral(50)],
+                             ids=["q8", "d32", "c64", "d256", "c512", "c97", "d50"])
     def test_table_rows_equal_python_rows(self, group):
         # find_matching takes the table rows at every size, 1 x 1 included;
         # the rows built from mul, and the search on them, agree.  63-65 and
@@ -144,13 +145,39 @@ class TestBuildGraph:
         group, rng = make_cyclic(1024), random.Random("complement-peak")
         A = GroupSubset(group, rng.sample(range(1024), 1000))
         B = GroupSubset(group, rng.sample(range(1, 1024), 1000))
-        tracemalloc.start()
-        try:
-            matching._table_rows(A, B)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 1000 * 1000, peak
+        for build in (matching._table_rows, matching._search_rows):
+            tracemalloc.start()
+            try:
+                build(A, B)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * 1000 * 1000, (build.__name__, peak)
+
+    @pytest.mark.parametrize("group", [make_quaternion(), make_cyclic(64), make_cyclic(97),
+                                       make_dihedral(50)], ids=["q8", "c64", "c97", "d50"])
+    def test_search_rows_are_python_rows(self, group):
+        # find_matching's rows: through the complement of A they span the
+        # whole group, element x at bit n - 1 - x, with every element
+        # outside B unset, at orders that are multiples of 8 and not;
+        # through the lookup they span B's positions.  Sizes on both sides
+        # of the switch.
+        n, rng = group.n, random.Random(f"search-rows/{group.name}")
+        switch = -(-4 * n // 5)
+        for k in (1, 2, n // 2, switch - 1, switch, n - 1):
+            for _ in range(3):
+                A = GroupSubset(group, rng.sample(range(n), k))
+                B = GroupSubset(group, rng.sample(range(1, n), k))
+                right, rows = matching._search_rows(A, B)
+                if k < switch:
+                    assert right == B.elements
+                    assert rows == matching._python_rows(group.mul, A.elements, A.members,
+                                                         B.elements)
+                    continue
+                in_b = sum(1 << (n - 1 - x) for x in B.elements)
+                spread = matching._python_rows(group.mul, A.elements, A.members, range(n))
+                assert right == range(n)
+                assert rows == tuple(row & in_b for row in spread)
 
     def test_empty_rejected(self):
         c4 = make_cyclic(4)
@@ -169,6 +196,12 @@ class TestBuildGraph:
         bits[0], bits[1] = False, True
         assert _pack_rows(bits) == tuple(sum(1 << j for j in np.flatnonzero(row).tolist())
                                          for row in bits)
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65, 97, 512])
+    def test_positions_read_bit_m_less_1_less_j_as_j(self, m):
+        rng = random.Random(m)
+        for row in (0, (1 << m) - 1, *(rng.getrandbits(m) if m else 0 for _ in range(20))):
+            assert matching._positions(row, m) == [j for j in range(m) if row >> (m - 1 - j) & 1]
 
 
 class TestFindMatching:

@@ -1420,6 +1420,20 @@ class TestHallCrossValidation:
         c4 = make_cyclic(4)
         assert cross_validate_hall(subset(c4, [3]), subset(c4, [3])) is True
 
+    def test_engine_searches_the_rows_find_matching_searches(self, monkeypatch):
+        # The engine's verdict comes from the rows that find_matching
+        # searches, not from build_graph: with those rows emptied, a
+        # matchable pair makes the engine disagree with both oracles.
+        c5 = make_cyclic(5)
+        A = subset(c5, [1, 2, 3, 4])
+        monkeypatch.setattr(matching, "build_graph", lambda *args: pytest.fail("build_graph"))
+        assert cross_validate_hall(A, A) is True
+        monkeypatch.setattr(matching, "_search_rows", lambda A, B: (range(5), (0,) * len(A)))
+        assert isinstance(find_matching(A, A), HallViolator)
+        with pytest.raises(CrossValidationError,
+                           match=r"^routes disagree: engine=False brute=True hall=True$"):
+            cross_validate_hall(A, A)
+
     @pytest.mark.parametrize("spec", ["Z^1", "Z^2"])
     def test_lattice_pairs_match_on_every_route(self, spec):
         # Z^d is torsion-free, so every pair with 0 outside B is matchable.
