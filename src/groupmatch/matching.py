@@ -473,17 +473,19 @@ def _brute_force(mul, a_els, a_set, b_els):
     """brute_force_matching after its input checks, on A's ascending
     elements and set and B's ascending elements, from the group law ``mul``:
     the images of the first valid bijection, in A's order, or None."""
+    return _extend(mul, a_els, a_set, (), b_els)
 
-    def extend(image: tuple, free: tuple):
-        # free is B minus image, ascending, so images are tried in order.
-        if not free:
-            return image
-        a = a_els[len(image)]
-        for i, b in enumerate(free):
-            if mul(a, b) not in a_set:
-                found = extend(image + (b,), free[:i] + free[i + 1:])
-                if found is not None:
-                    return found
-        return None
 
-    return extend((), b_els)
+def _extend(mul, a_els, a_set, image: tuple, free: tuple):
+    """_brute_force's search on from the images of A's first len(image)
+    elements; free is B minus image, ascending, so images are tried in order.
+    Not a closure, which would hold itself in a reference cycle per call."""
+    if not free:
+        return image
+    a = a_els[len(image)]
+    for i, b in enumerate(free):
+        if mul(a, b) not in a_set:
+            found = _extend(mul, a_els, a_set, image + (b,), free[:i] + free[i + 1:])
+            if found is not None:
+                return found
+    return None

@@ -195,9 +195,10 @@ def _product_counts(group: GroupTable, A: np.ndarray, B: np.ndarray) -> np.ndarr
 def _sized_pairs(n: int, max_k: int, samples: int, seed: int):
     """Seeded (a_els, b_els) pairs, |A| = |B| <= max_k, the identity out of B:
     ``k = randint(1, max_k)``, then ``sample(range(n), k)`` and
-    ``sample(range(1, n), k)``, sorted, from ``random.Random(seed)``."""
+    ``sample(range(1, n), k)``, sorted, from ``random.Random(seed)``, which
+    draws the same from the ranges as lists and copies those without new ints."""
     rng = random.Random(seed)
-    below, sample, left, right = rng._randbelow, rng.sample, range(n), range(1, n)
+    below, sample, left, right = rng._randbelow, rng.sample, list(range(n)), list(range(1, n))
     for _ in range(samples):
         k = 1 + below(max_k)
         yield tuple(sorted(sample(left, k))), tuple(sorted(sample(right, k)))

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -1630,3 +1631,40 @@ class TestReportContract:
     def test_elapsed_excluded_from_machine_dict(self):
         r = sweep_kemperman(make_cyclic(3))
         assert "elapsed_seconds" not in r.to_dict()
+
+
+def _d256_pair(k: int):
+    """A seeded pair of k elements each in D256, the identity out of B."""
+    group = make_dihedral(256)
+    rng = random.Random(k)
+    return (subset(group, rng.sample(range(group.n), k)),
+            subset(group, rng.sample(range(1, group.n), k)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sweep_hall(make_cyclic(7)), id="sweep_hall-C7"),
+    pytest.param(lambda: check_automatching(make_cyclic(6)), id="check_automatching-C6"),
+    pytest.param(lambda: check_lattice_matching(1, 200), id="check_lattice_matching-d1"),
+    pytest.param(lambda: check_matching_property(make_cyclic(6)), id="property-exhaustive-C6"),
+    pytest.param(lambda: check_matching_property(make_cyclic(12)), id="property-certificate-C12"),
+    pytest.param(lambda: check_matching_property(make_cyclic(11), samples=200),
+                 id="property-sampled-C11"),
+    pytest.param(lambda: cross_validate_hall(*_d256_pair(5)), id="cross_validate_hall-D256"),
+    pytest.param(lambda: brute_force_matching(*_d256_pair(6)), id="brute_force_matching-D256"),
+    pytest.param(lambda: find_matching(*_d256_pair(300)), id="find_matching-D256"),
+    pytest.param(lambda: sweep_kemperman(make_cyclic(6)), id="sweep_kemperman-C6"),
+    pytest.param(lambda: sweep_olson(make_cyclic(6)), id="sweep_olson-C6"),
+    pytest.param(lambda: sweep_corollary(make_cyclic(4)), id="sweep_corollary-C4"),
+])
+def test_leaves_no_cyclic_garbage(call):
+    # A reference cycle outlives its call until the collector finds it, and
+    # the allocations it counts trigger collections in every later call.
+    # The first call warms the caches, whose entries are not garbage.
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
